@@ -238,10 +238,11 @@ class SemigroupIdeal:
         self.ambient = ambient
         self.gens: tuple[int, ...] = tuple(gs)
         self.min_element: int = gs[0]
-        c = self.min_element + ambient.conductor
-        while c > 0 and self.contains(c - 1):
-            c -= 1
-        self.conductor_e: int = c
+        # E meets each class mod m in an up-set from its least element there;
+        # the class of m - 1 keeps the result >= 0
+        m = ambient.multiplicity
+        least = _least_per_class(self.gens, ambient.apery_set(m))
+        self.conductor_e: int = max(least) - m + 1
 
     def contains(self, x: int) -> bool:
         return any(x >= g and self.ambient.contains(x - g) for g in self.gens)
@@ -250,10 +251,8 @@ class SemigroupIdeal:
     def kind(self) -> IdealKind:
         if self.min_element == 0:
             return IdealKind.FULL
-        if all(
-            self.contains(x) == self.ambient.contains(x)
-            for x in range(1, self.conductor_e)
-        ):
+        # E is an ideal, so it holds S \\ {0} once it holds every minimal generator
+        if all(self.contains(g) for g in self.ambient.minimal_generators):
             return IdealKind.STAR
         return IdealKind.PROPER
 
@@ -262,8 +261,10 @@ class SemigroupIdeal:
         """E together with 0, as a numerical semigroup."""
         if self.kind is IdealKind.FULL:
             return self.ambient
-        top = self.conductor_e + self.min_element
-        return NumericalSemigroup(x for x in range(1, top + 1) if self.contains(x))
+        # generated by its Apery set mod e = min E, with e itself in class 0
+        return NumericalSemigroup(
+            _least_per_class(self.gens, self.ambient.apery_set(self.min_element))
+        )
 
     def ambient_outside_tilde(self) -> list[int]:
         """The finite set S \\ (E u {0})."""
@@ -275,6 +276,12 @@ class SemigroupIdeal:
 
     def __repr__(self) -> str:
         return f"SemigroupIdeal({self.ambient}, gens={list(self.gens)})"
+
+
+def _least_per_class(gens: Sequence[int], apery: Sequence[int]) -> list[int]:
+    """Least element of gens + S in each residue class mod n, from Ap(S, n)."""
+    n = len(apery)
+    return [min(g + apery[(r - g) % n] for g in gens) for r in range(n)]
 
 
 def ideal_full(s: NumericalSemigroup) -> SemigroupIdeal:
@@ -307,21 +314,16 @@ class DuplicationSpec:
 
 
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
-    """The numerical semigroup 2*S u (2*E + d).
+    """The numerical semigroup 2*S u (2*E + d), given by its minimal generators.
 
-    Built from its element set up to a provable conductor bound; no closed
-    Frobenius formula is assumed here, so the construction stays valid even
-    where a formula's hypotheses fail.
+    It is generated by 2*mingens(S) and 2e + d for each generator e of E
+    (D'Anna & Strazzanti 2013): 2(e + s) + d = (2e + d) + 2s, and two odd
+    elements sum into 2*S because d is in S.  No closed Frobenius formula is
+    assumed, so the construction stays valid where a formula's hypotheses fail.
     """
     s, e, d = spec.s, spec.e, spec.d
-    # every even x >= 2*cond(S) and every odd x >= 2*cond(E)+d is in the set
-    cond_bound = max(2 * s.conductor, 2 * e.conductor_e + d)
-    mult = min(2 * s.multiplicity, 2 * e.min_element + d)
-    bound = cond_bound + mult
-    elems = [2 * x for x in s.elements_up_to(bound // 2) if x > 0]
-    elems += [2 * y + d for y in range((bound - d) // 2 + 1) if e.contains(y)]
-    sg = NumericalSemigroup(sorted(set(x for x in elems if 0 < x <= bound)))
-    return NumericalSemigroup(sg.minimal_generators)
+    gens = [2 * g for g in s.minimal_generators] + [2 * g + d for g in e.gens]
+    return NumericalSemigroup(NumericalSemigroup(gens).minimal_generators)
 
 
 def _require_proper_ambient_for_star(spec: DuplicationSpec) -> None:

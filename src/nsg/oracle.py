@@ -24,6 +24,7 @@ from . import constructions as cons
 from . import families as fam
 from .core import (
     GcdNotOneError,
+    InvalidParamError,
     NumericalSemigroup,
     SemigroupError,
     ZeroGeneratorError,
@@ -858,11 +859,19 @@ def registered_claims() -> list[str]:
     return list(_CLAIMS)
 
 
-def _worker_count() -> int:
+def _worker_count(instances: int) -> int:
+    """Pool size: NSG_THREADS (default all cores), capped by cores and instances."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("NSG_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return min(cores, instances)
+    try:
+        requested = int(env)
+    except ValueError:
+        raise InvalidParamError(f"NSG_THREADS must be an integer, got {env!r}") from None
+    if requested < 1:
+        raise InvalidParamError(f"NSG_THREADS must be >= 1, got {requested}")
+    return min(requested, cores, instances)
 
 
 def _run_one(claim_id: str, inst: dict) -> VerificationReport:
@@ -890,7 +899,7 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
         )
     instances = _CLAIMS[claim_id][0](_resolve_grid(grid))
     run = partial(_run_one, claim_id)
-    workers = _worker_count()
+    workers = _worker_count(len(instances))
     if workers <= 1 or len(instances) < 16:
         return [run(inst) for inst in instances]
     chunk = max(1, len(instances) // (workers * 4))

@@ -167,6 +167,14 @@ def test_verify_unknown_claim():
     assert "UnknownClaimError" in err
 
 
+def test_verify_bad_thread_count_exit_1(monkeypatch):
+    monkeypatch.setenv("NSG_THREADS", "abc")
+    code, out, err = run_cli("verify", "thm-3.8")
+    assert code == 1
+    assert out == ""
+    assert "InvalidParamError" in err and "NSG_THREADS" in err
+
+
 def test_verify_modes_differ_in_exit_code():
     code_stated, _, _ = run_cli("verify", "prop-3.3", "--mode", "AsStated", "--grid", "smoke")
     code_proof, _, _ = run_cli("verify", "prop-3.3", "--mode", "AsProof", "--grid", "smoke")

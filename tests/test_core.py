@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from nsg.core import (
+    TABLE_LIMIT,
     EmptyGeneratorsError,
     Extremality,
     GcdNotOneError,
@@ -45,8 +48,30 @@ def test_construction_errors():
 
 
 def test_table_limit_guard():
+    # the limit bounds the Apery modulus and is checked before any table exists
+    m = TABLE_LIMIT + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableLimitError):
+            NumericalSemigroup([m, m + 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    s = NumericalSemigroup([2, m])
     with pytest.raises(TableLimitError):
-        NumericalSemigroup([2, (1 << 41) + 1])
+        s.apery_set(m)
+
+
+def test_huge_frobenius_small_multiplicity():
+    # the cost depends on the multiplicity, not on the Frobenius number
+    n = (1 << 41) + 1
+    s = NumericalSemigroup([2, n])
+    assert s.frobenius == n - 2 == (1 << 41) - 1
+    assert s.genus == 1 << 40
+    assert s.pf_set() == [(1 << 41) - 1]
+    assert s.is_symmetric()
+    assert not s.contains(n - 2) and s.contains(n) and s.contains(n - 1)
 
 
 def test_contains():
@@ -58,14 +83,6 @@ def test_contains():
     assert not NumericalSemigroup([12, 15, 20, 23]).contains(28)
     assert NumericalSemigroup([5, 6, 7]).contains(11)
     assert 11 in NumericalSemigroup([5, 6, 7])
-
-
-def test_membership_table_shape():
-    s = NumericalSemigroup([5, 6, 7])
-    # table covers [0, F + m]; false at F, true on (F, F + m]
-    assert len(s.membership) == s.frobenius + s.multiplicity + 1
-    assert not s.membership[s.frobenius]
-    assert all(s.membership[x] for x in range(s.frobenius + 1, s.frobenius + s.multiplicity + 1))
 
 
 def test_genus():
@@ -149,8 +166,3 @@ def test_equality_and_hash():
     assert NumericalSemigroup([3, 4, 5, 7]) == NumericalSemigroup([5, 4, 3])
     assert hash(NumericalSemigroup([2, 3])) == hash(NumericalSemigroup([2, 3, 4]))
     assert NumericalSemigroup([2, 3]) != NumericalSemigroup([3, 4, 5])
-
-
-def test_elements_up_to():
-    s = NumericalSemigroup([3, 4, 5])
-    assert list(s.elements_up_to(7)) == [0, 3, 4, 5, 6, 7]

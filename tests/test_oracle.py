@@ -5,7 +5,7 @@ import random
 import pytest
 
 import nsg.oracle as oracle
-from nsg.core import GcdNotOneError, NumericalSemigroup
+from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup
 from nsg.oracle import (
     GridTooLargeError,
     UnknownClaimError,
@@ -106,6 +106,23 @@ def test_parallel_runs_match_sequential(monkeypatch):
     monkeypatch.setenv("NSG_THREADS", "2")
     par = [r.json_line() for r in verify_claim("prop-3.2", {"preset": "smoke"})]
     assert seq == par
+
+
+def test_worker_count(monkeypatch):
+    # computed only: no pool or process is started
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("NSG_THREADS", raising=False)
+    assert oracle._worker_count(100) == 4
+    assert oracle._worker_count(3) == 3
+    monkeypatch.setenv("NSG_THREADS", "2")
+    assert oracle._worker_count(100) == 2
+    monkeypatch.setenv("NSG_THREADS", "64")
+    assert oracle._worker_count(100) == 4
+    assert oracle._worker_count(1) == 1
+    for bad in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("NSG_THREADS", bad)
+        with pytest.raises(InvalidParamError, match="NSG_THREADS"):
+            oracle._worker_count(100)
 
 
 def test_adjudication_prop_3_3():

@@ -75,6 +75,78 @@ def test_membership_boundary(gens):
     assert s.genus == sum(1 for x in range(s.frobenius + 1) if not s.contains(x))
 
 
+@st.composite
+def sparse_large_multiplicity(draw):
+    m = draw(st.integers(150, 400))
+    rest = draw(st.lists(st.integers(m + 1, 3 * m), min_size=2, max_size=4, unique=True))
+    assume(math.gcd(m, *rest) == 1)
+    return [m] + rest
+
+
+@given(sparse_large_multiplicity())
+@settings(max_examples=30, deadline=None)
+def test_core_matches_oracle_at_large_multiplicity(gens):
+    s = NumericalSemigroup(gens)
+    assume(s.frobenius <= 20_000)  # keeps the definitional scans cheap
+    frob, m = s.frobenius, s.multiplicity
+    table = oracle.naive_closure(gens, frob + m)
+    assert [s.contains(x) for x in range(frob + m + 1)] == table
+    assert s.genus == table.count(False)
+    assert s.pf_set() == oracle.naive_pf(gens)
+    assert s.pf_profile().reduced_type == oracle.naive_reduced_type(gens)
+
+
+@st.composite
+def ideals(draw):
+    """(S, ideal generators): E = S, E = S \\ {0}, or a random ideal."""
+    s = NumericalSemigroup(draw(generator_lists()))
+    kind = draw(st.sampled_from(["S", "S*", "random"]))
+    if kind == "S":
+        return s, [0]
+    if kind == "S*":
+        return s, list(s.minimal_generators)
+    members = [x for x in range(1, s.frobenius + 2 * s.multiplicity + 1) if s.contains(x)]
+    return s, draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
+
+
+@given(ideals())
+@settings(max_examples=80, deadline=None)
+def test_ideal_matches_pointwise_brute_force(args):
+    s, e_gens = args
+    e = cons.SemigroupIdeal(s, e_gens)
+    # E is cofinite from min(E) + F(S) + 1 on; check one multiplicity past it
+    top = min(e_gens) + s.frobenius + s.multiplicity + 1
+    in_s = oracle.naive_closure(s.minimal_generators, top)
+    in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
+    gaps_e = [x for x in range(top + 1) if not in_e[x]]
+    conductor = gaps_e[-1] + 1 if gaps_e else 0
+    assert e.conductor_e == conductor
+    if 0 in e_gens:
+        kind = cons.IdealKind.FULL
+    elif all(in_e[x] for x in range(1, top + 1) if in_s[x]):
+        kind = cons.IdealKind.STAR
+    else:
+        kind = cons.IdealKind.PROPER
+    assert e.kind is kind
+    in_tilde = [x == 0 or in_e[x] for x in range(top + 1)]
+    assert [e.tilde.contains(x) for x in range(top + 1)] == in_tilde
+    assert e.ambient_outside_tilde() == [
+        x for x in range(1, conductor) if in_s[x] and not in_e[x]
+    ]
+
+
+@given(ideals(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_duplication_matches_oracle(args, idx):
+    s, e_gens = args
+    d = _nth_odd_member(s, idx)
+    dup = cons.duplicate(cons.DuplicationSpec(s, cons.SemigroupIdeal(s, e_gens), d))
+    naive = oracle.naive_duplication_stats(s.minimal_generators, e_gens, d)
+    assert dup.pf_set() == naive.pf
+    assert dup.frobenius == naive.frobenius
+    assert dup.pf_profile().reduced_type == naive.reduced_type
+
+
 def _nth_odd_member(s: NumericalSemigroup, idx: int) -> int:
     x = 1
     while True:
