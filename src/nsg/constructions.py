@@ -154,15 +154,35 @@ def gluing_maximal_sufficient(spec: GluingSpec) -> bool:
     )
 
 
-def max_coeff_sum(gens: Sequence[int], target: int) -> int:
-    """Largest coefficient sum over all representations of target in <gens>, -1 if none."""
+def max_coeff_representation(gens: Sequence[int], target: int) -> list[int] | None:
+    """Coefficients, one per entry of gens, of a representation of target with the
+    largest coefficient sum; None if target is not in <gens>.
+
+    A forward max-sum DP with back-pointers; a cell keeps the first generator
+    that strictly improves it.
+    """
     best = [-1] * (target + 1)
     best[0] = 0
+    back = [0] * (target + 1)
     for x in range(1, target + 1):
         for g in gens:
             if g <= x and best[x - g] >= 0 and best[x - g] + 1 > best[x]:
                 best[x] = best[x - g] + 1
-    return best[target]
+                back[x] = g
+    if best[target] < 0:
+        return None
+    coeffs = [0] * len(gens)
+    x = target
+    while x:
+        coeffs[gens.index(back[x])] += 1
+        x -= back[x]
+    return coeffs
+
+
+def max_coeff_sum(gens: Sequence[int], target: int) -> int:
+    """Largest coefficient sum over all representations of target in <gens>, -1 if none."""
+    coeffs = max_coeff_representation(gens, target)
+    return -1 if coeffs is None else sum(coeffs)
 
 
 def nice_extension(
@@ -241,11 +261,11 @@ class SemigroupIdeal:
         # E meets each class mod m in an up-set from its least element there;
         # the class of m - 1 keeps the result >= 0
         m = ambient.multiplicity
-        least = _least_per_class(self.gens, ambient.apery_set(m))
-        self.conductor_e: int = max(least) - m + 1
+        self._least: list[int] = _least_per_class(self.gens, ambient.apery_set(m))
+        self.conductor_e: int = max(self._least) - m + 1
 
     def contains(self, x: int) -> bool:
-        return any(x >= g and self.ambient.contains(x - g) for g in self.gens)
+        return x >= self._least[x % self.ambient.multiplicity]
 
     @cached_property
     def kind(self) -> IdealKind:
@@ -267,12 +287,14 @@ class SemigroupIdeal:
         )
 
     def ambient_outside_tilde(self) -> list[int]:
-        """The finite set S \\ (E u {0})."""
-        return [
-            x
-            for x in range(1, self.conductor_e)
-            if self.ambient.contains(x) and not self.contains(x)
-        ]
+        """The finite set S \\ (E u {0}).
+
+        In each class r mod m, S runs up from Ap(S, m)[r] and E from its
+        least element there, in steps of m; S \\ E is the stretch between.
+        """
+        m = self.ambient.multiplicity
+        apery = self.ambient.apery_set(m)
+        return sorted(x for r, w in enumerate(apery) for x in range(w, self._least[r], m) if x)
 
     def __repr__(self) -> str:
         return f"SemigroupIdeal({self.ambient}, gens={list(self.gens)})"

@@ -1,12 +1,14 @@
 """Brute-force recomputation of every invariant, straight from the definitions.
 
-Nothing here touches the Apery-set machinery: membership is a forward DP
-closure, the Frobenius number comes from scanning for a full run of
-``multiplicity`` consecutive members, and pseudo-Frobenius numbers come from
-the defining condition.  The claim registry at the bottom pits each
-closed-form description against these recomputations over parameter grids and
-emits one report per instance; mismatches are findings to surface, never to
-patch away.
+Nothing here touches the Apery-set machinery.  One forward DP closure grows a
+membership table until it holds a run of ``multiplicity`` consecutive members,
+which ends at F + m; one scan of that table finds the multiplicity, the
+Frobenius number, the atoms S* \\ (S* + S*), the pseudo-Frobenius numbers
+(quantified over the atoms) and the reduced type.  Duplications are tabulated
+pointwise from the closure of S and go through the same scan.  The claim
+registry at the bottom pits each closed-form description against these
+recomputations over parameter grids and emits one report per instance;
+mismatches are findings to surface, never to patch away.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from . import constructions as cons
@@ -59,86 +62,37 @@ def _validate(gens: Sequence[int]) -> list[int]:
     return gs
 
 
-def naive_closure(gens: Sequence[int], bound: int) -> list[bool]:
-    """table[x] iff x in [0, bound] is a nonnegative combination of gens."""
-    gs = _validate(gens)
-    table = [False] * (bound + 1)
-    if bound >= 0:
-        table[0] = True
-    for x in range(1, bound + 1):
-        table[x] = any(x >= g and table[x - g] for g in gs)
-    return table
+def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
+    """table[x] iff x is a nonnegative combination of gens, by a forward DP.
 
-
-def naive_frobenius(gens: Sequence[int]) -> int:
-    """Largest non-member: grow the closure until multiplicity-many consecutive members appear."""
-    gs = _validate(gens)
-    m = gs[0]
-    bound = 2 * gs[-1] + 2
-    while True:
-        table = naive_closure(gs, bound)
-        run = 0
-        for x in range(bound + 1):
-            run = run + 1 if table[x] else 0
-            if run == m:
-                return x - m
-        bound *= 2
-
-
-def naive_pf(gens: Sequence[int]) -> list[int]:
-    """PF by definition: non-members f in [-1, F] with f + g a member for every generator."""
-    gs = _validate(gens)
-    frob = naive_frobenius(gs)
-    table = naive_closure(gs, frob + gs[-1] + 1)
-
-    def member(x: int) -> bool:
-        return x >= 0 and (x > frob or table[x])
-
-    return [
-        f
-        for f in range(-1, frob + 1)
-        if not member(f) and all(member(f + g) for g in gs)
-    ]
-
-
-def naive_pf_full(gens: Sequence[int]) -> list[int]:
-    """PF with the quantifier over *all* nonzero members, not just generators.
-
-    Exists to validate the generator shortcut in naive_pf; the two must agree.
+    With ``bound`` the table covers [0, bound].  Without one it grows in a
+    single pass and stops at the first run of min(gens) consecutive positive
+    members, which ends at F + m (at 1 for N).  A table that would pass
+    ``FROBENIUS_CAP + m`` cells raises GridTooLargeError instead.
     """
     gs = _validate(gens)
-    frob = naive_frobenius(gs)
-    table = naive_closure(gs, max(frob, 0) + 1)
-
-    def member(x: int) -> bool:
-        return x >= 0 and (x > frob or table[x])
-
-    out = []
-    for f in range(-1, frob + 1):
-        if member(f):
-            continue
-        # f + s with s > F - f is automatically a member
-        if all(not member(s) or member(f + s) for s in range(1, frob - f + 1)):
-            out.append(f)
-    return out
-
-
-def naive_reduced_type(gens: Sequence[int]) -> int:
-    """|[F - m + 1, F] \\ S| counted directly off the closure table."""
-    gs = _validate(gens)
-    frob = naive_frobenius(gs)
     m = gs[0]
-    table = naive_closure(gs, max(frob, 0) + 1)
-
-    def member(x: int) -> bool:
-        return 0 <= x <= frob and table[x] or x > frob
-
-    return sum(1 for x in range(frob - m + 1, frob + 1) if not member(x))
+    limit = FROBENIUS_CAP + m
+    # an unbounded table reaches the first generator that brings the gcd to
+    # 1 (it is at most F + m), so a huge one is refused before any cell
+    reach = bound if bound is not None else next(
+        g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1
+    )
+    table = [True]
+    run = 0
+    while len(table) <= bound if bound is not None else run < m:
+        x = len(table)
+        if x > limit or reach > limit:
+            raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
+        member = any(x >= g and table[x - g] for g in gs)
+        table.append(member)
+        run = run + 1 if member else 0
+    return table
 
 
 @dataclass
 class NaiveStats:
-    """One-pass definitional summary of a semigroup given by generators."""
+    """Definitional F, PF and reduced type, read off one membership table."""
 
     pf: list[int]
     reduced_type: int
@@ -167,12 +121,79 @@ class NaiveStats:
         return "neither"
 
 
+def _stats_from_table(table: list[bool]) -> NaiveStats:
+    """The one definitional scan: F, PF and reduced type of a numerical semigroup table.
+
+    A single pass finds m, F (the cell before the first run of m members) and
+    the atoms S* \\ (S* + S*), all of which lie in [m, F + m].  PF is every
+    non-member f in [-1, F] with f + a in S for every atom a; that is exact
+    because every element of S* is a sum of atoms.  The reduced type counts
+    [F - m + 1, F] \\ S.  The table must reach F + m.
+    """
+    atoms: list[int] = []
+    run = 1  # 0 is a member
+    for x in range(1, len(table)):
+        if not table[x]:
+            run = 0
+            continue
+        run += 1
+        # every atom found so far is below x
+        if not any(table[x - a] for a in atoms):
+            atoms.append(x)
+        if run >= atoms[0]:
+            break
+    else:
+        raise AssertionError("table too short to locate the Frobenius number")
+    m = atoms[0]
+    frob = x - run
+    gaps = [-1] + [y for y in range(frob + 1) if not table[y]]
+    pf = [f for f in gaps if all(f + a > frob or table[f + a] for a in atoms)]
+    reduced = sum(1 for f in gaps if f > frob - m)
+    return NaiveStats(pf=pf, reduced_type=reduced, frobenius=frob)
+
+
 def naive_stats(gens: Sequence[int]) -> NaiveStats:
-    return NaiveStats(
-        pf=naive_pf(gens),
-        reduced_type=naive_reduced_type(gens),
-        frobenius=naive_frobenius(gens),
-    )
+    """F, PF and reduced type of <gens>: one closure, one scan."""
+    return _stats_from_table(naive_closure(gens))
+
+
+def naive_frobenius(gens: Sequence[int]) -> int:
+    """Largest non-member of <gens>."""
+    return naive_stats(gens).frobenius
+
+
+def naive_pf(gens: Sequence[int]) -> list[int]:
+    """PF by definition: non-members f in [-1, F] with f + a a member for every atom a."""
+    return naive_stats(gens).pf
+
+
+def naive_reduced_type(gens: Sequence[int]) -> int:
+    """|[F - m + 1, F] \\ S|, counted directly off the closure table."""
+    return naive_stats(gens).reduced_type
+
+
+def naive_pf_full(gens: Sequence[int]) -> list[int]:
+    """PF with the quantifier over *all* nonzero members, not just the atoms.
+
+    The reference that the atom shortcut of the one scan is tested against.
+    """
+    return _pf_over_all_members(naive_closure(gens))
+
+
+def _pf_over_all_members(table: list[bool]) -> list[int]:
+    """PF of a numerical semigroup table that reaches past F, quantified over all of S*."""
+    frob = max((x for x, inn in enumerate(table) if not inn), default=-1)
+
+    def member(x: int) -> bool:
+        return x > frob or x >= 0 and table[x]
+
+    # f + s with s > F - f is automatically a member
+    return [
+        f
+        for f in range(-1, frob + 1)
+        if not member(f)
+        and all(not member(s) or member(f + s) for s in range(1, frob - f + 1))
+    ]
 
 
 def naive_duplication_stats(
@@ -181,61 +202,36 @@ def naive_duplication_stats(
     """Definitional stats of 2*S u (2*E + d), assembled without the constructions module.
 
     ``e_gens`` are ideal generators inside S ([0] means E = S); membership of
-    the duplication is computed pointwise from naive closures of S alone.
+    the duplication is computed pointwise from the one closure of S, and the
+    duplication's table goes through the same scan as ``naive_stats``.  Like
+    the closure, a table past ``FROBENIUS_CAP`` plus its multiplicity raises
+    GridTooLargeError.
     """
-    gs = _validate(s_gens)
-    s_frob = naive_frobenius(gs)
+    s_table = naive_closure(s_gens)
 
     def in_s(x: int) -> bool:
-        return x >= 0 and (x > s_frob or s_table[x])
+        # the table reaches F(S) + m(S): everything past it is in S
+        return x >= len(s_table) or x >= 0 and s_table[x]
 
     def in_e(x: int) -> bool:
         return any(x >= g and in_s(x - g) for g in e_gens)
 
     # least c with [c, oo) in E, walked down from an always-valid start
     e_min = min(e_gens)
-    s_table = naive_closure(gs, s_frob + gs[-1] + 1)
-    c_e = e_min + s_frob + 1
+    c_e = e_min + len(s_table)
     while c_e > 0 and in_e(c_e - 1):
         c_e -= 1
 
-    mult = min(2 * gs[0], 2 * e_min + d)
-    bound = max(2 * (s_frob + 1), 2 * c_e + d) + mult + 1
+    mult = min(2 * min(s_gens), 2 * e_min + d)
+    bound = max(2 * len(s_table), 2 * c_e + d) + mult
+    if bound > FROBENIUS_CAP + mult:
+        raise GridTooLargeError(f"duplication table needs more than {FROBENIUS_CAP + mult} cells")
     table = [
         (x % 2 == 0 and in_s(x // 2))
         or (x >= d and (x - d) % 2 == 0 and in_e((x - d) // 2))
         for x in range(bound + 1)
     ]
     return _stats_from_table(table)
-
-
-def _stats_from_table(table: list[bool]) -> NaiveStats:
-    """Definitional PF / reduced type for any cofinite set given as a table.
-
-    The table must extend past conductor + multiplicity.
-    """
-    m = next(x for x in range(1, len(table)) if table[x])
-    run = 0
-    frob = None
-    for x in range(len(table)):
-        run = run + 1 if table[x] else 0
-        if run == m:
-            frob = x - m
-            break
-    if frob is None:
-        raise AssertionError("table too short to locate the Frobenius number")
-
-    def member(x: int) -> bool:
-        return x >= 0 and (x > frob or table[x])
-
-    pf = []
-    for f in range(-1, frob + 1):
-        if member(f):
-            continue
-        if all(not member(s) or member(f + s) for s in range(1, frob - f + 1)):
-            pf.append(f)
-    reduced = sum(1 for x in range(frob - m + 1, frob + 1) if not member(x))
-    return NaiveStats(pf=pf, reduced_type=reduced, frobenius=frob)
 
 
 # ---------------------------------------------------------------------------
@@ -429,36 +425,14 @@ def _gluing_instances(grid: dict) -> list[dict]:
 _NICE_POOL: list[list[int]] = [[2, 3], [3, 4, 5], [3, 7, 11], [5, 6, 7]]
 
 
-def _one_representation(gens: Sequence[int], target: int) -> list[int] | None:
-    """Some coefficient vector writing target over gens, via the max-sum DP."""
-    best = [-1] * (target + 1)
-    best[0] = 0
-    back: list[int | None] = [None] * (target + 1)
-    for x in range(1, target + 1):
-        for g in gens:
-            if g <= x and best[x - g] >= 0 and best[x - g] + 1 > best[x]:
-                best[x] = best[x - g] + 1
-                back[x] = g
-    if best[target] < 0:
-        return None
-    coeffs = [0] * len(gens)
-    x = target
-    while x:
-        g = back[x]
-        coeffs[list(gens).index(g)] += 1
-        x -= g
-    return coeffs
-
-
 def _nice_ext_instances(grid: dict) -> list[dict]:
     out = []
     for gens in _NICE_POOL[: max(3, grid["glue_pool"] - 2)]:
         s = NumericalSemigroup(gens)
         # larger targets admit more representations, hence more valid p
         for target in _nongen_members(s, 3 * grid["glue_per"]):
-            coeffs = _one_representation(s.minimal_generators, target)
-            best = cons.max_coeff_sum(s.minimal_generators, target)
-            for p in range(2, min(best, 2 + 2 * grid["glue_per"]) + 1):
+            coeffs = cons.max_coeff_representation(s.minimal_generators, target)
+            for p in range(2, min(sum(coeffs), 2 + 2 * grid["glue_per"]) + 1):
                 if math.gcd(p, target) != 1:
                     continue
                 _cap(
@@ -519,11 +493,7 @@ def _dup_self_instances(grid: dict) -> list[dict]:
     return out
 
 
-def _uniform_instances(grid: dict) -> list[dict]:
-    return [{"r": r} for r in range(1, grid["r_max"] + 1)]
-
-
-def _staircase_instances(grid: dict) -> list[dict]:
+def _r_instances(grid: dict) -> list[dict]:
     return [{"r": r} for r in range(1, grid["r_max"] + 1)]
 
 
@@ -579,11 +549,18 @@ def _check_prop_3_3(inst: dict) -> VerificationReport:
     )
 
 
+def _backelin_gens(inst: dict) -> tuple[int, ...]:
+    return fam.BackelinParams(inst["n"], inst["r"]).generators
+
+
+def _bresinsky_gens(inst: dict) -> tuple[int, ...]:
+    return fam.BresinskyParams(inst["h"]).generators
+
+
 def _check_prop_3_5(inst: dict) -> VerificationReport:
     n, r = inst["n"], inst["r"]
     closed = fam.backelin_pf_closed(n, r)
-    gens = fam.BackelinParams(n, r).generators
-    got = naive_pf(gens)
+    got = naive_pf(_backelin_gens(inst))
     frob_closed = fam.backelin_frobenius_closed(n, r)
     return VerificationReport(
         claim="prop-3.5",
@@ -594,11 +571,13 @@ def _check_prop_3_5(inst: dict) -> VerificationReport:
     )
 
 
-def _check_prop_3_6(inst: dict) -> VerificationReport:
-    gens = fam.BackelinParams(inst["n"], inst["r"]).generators
-    label = naive_stats(gens).extremality_label
+def _check_never_extremal(
+    claim: str, gens_of: Callable[[dict], Sequence[int]], inst: dict
+) -> VerificationReport:
+    """prop-3.6 (Backelin) and prop-3.10 (Bresinsky): neither maximal nor minimal."""
+    label = naive_stats(gens_of(inst)).extremality_label
     return VerificationReport(
-        claim="prop-3.6",
+        claim=claim,
         instance=inst,
         closed_form=["neither"],
         oracle=[label],
@@ -609,24 +588,13 @@ def _check_prop_3_6(inst: dict) -> VerificationReport:
 def _check_thm_3_8(inst: dict) -> VerificationReport:
     h = inst["h"]
     closed = fam.bresinsky_pf_closed(h)
-    got = naive_pf(fam.BresinskyParams(h).generators)
+    got = naive_pf(_bresinsky_gens(inst))
     return VerificationReport(
         claim="thm-3.8",
         instance=inst,
         closed_form=[closed, 4 * h - 3],
         oracle=[got, len(got)],
         match=closed == got and len(got) == 4 * h - 3,
-    )
-
-
-def _check_prop_3_10(inst: dict) -> VerificationReport:
-    label = naive_stats(fam.BresinskyParams(inst["h"]).generators).extremality_label
-    return VerificationReport(
-        claim="prop-3.10",
-        instance=inst,
-        closed_form=["neither"],
-        oracle=[label],
-        match=label == "neither",
     )
 
 
@@ -751,27 +719,15 @@ def _check_thm_5_4(inst: dict) -> VerificationReport:
     )
 
 
-def _check_prop_5_7(inst: dict) -> VerificationReport:
+def _check_dup_maximal(claim: str, star: bool, inst: dict) -> VerificationReport:
+    """prop-5.7 (E = S) and prop-5.9 (E = S*): the maximality iff of the duplication."""
     s = NumericalSemigroup(inst["gens"])
-    closed = cons.duplication_max_self(s, inst["d"])
-    oracle_max = naive_duplication_stats(inst["gens"], [0], inst["d"]).is_maximal
+    closed_form = cons.duplication_max_star if star else cons.duplication_max_self
+    closed = closed_form(s, inst["d"])
+    e_gens = list(s.minimal_generators) if star else [0]
+    oracle_max = naive_duplication_stats(inst["gens"], e_gens, inst["d"]).is_maximal
     return VerificationReport(
-        claim="prop-5.7",
-        instance=inst,
-        closed_form=[closed],
-        oracle=[oracle_max],
-        match=closed == oracle_max,
-    )
-
-
-def _check_prop_5_9(inst: dict) -> VerificationReport:
-    s = NumericalSemigroup(inst["gens"])
-    closed = cons.duplication_max_star(s, inst["d"])
-    oracle_max = naive_duplication_stats(
-        inst["gens"], list(s.minimal_generators), inst["d"]
-    ).is_maximal
-    return VerificationReport(
-        claim="prop-5.9",
+        claim=claim,
         instance=inst,
         closed_form=[closed],
         oracle=[oracle_max],
@@ -839,18 +795,24 @@ _CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], Verifica
     "prop-3.2": (_gas_instances, _check_prop_3_2),
     "prop-3.3": (_gas_mode_instances, _check_prop_3_3),
     "prop-3.5": (_backelin_instances, _check_prop_3_5),
-    "prop-3.6": (_backelin_instances, _check_prop_3_6),
+    "prop-3.6": (
+        _backelin_instances,
+        partial(_check_never_extremal, "prop-3.6", _backelin_gens),
+    ),
     "thm-3.8": (_bresinsky_instances, _check_thm_3_8),
-    "prop-3.10": (_bresinsky_instances, _check_prop_3_10),
+    "prop-3.10": (
+        _bresinsky_instances,
+        partial(_check_never_extremal, "prop-3.10", _bresinsky_gens),
+    ),
     "cor-4.2": (_gluing_instances, _check_cor_4_2),
     "prop-4.3": (_gluing_instances, _check_prop_4_3),
     "cor-4.6": (_nice_ext_instances, _check_cor_4_6),
     "thm-5.2": (_dup_instances, _check_thm_5_2),
     "thm-5.4": (_dup_instances, _check_thm_5_4),
-    "prop-5.7": (_dup_self_instances, _check_prop_5_7),
-    "prop-5.9": (_dup_self_instances, _check_prop_5_9),
-    "remark-5.3": (_uniform_instances, _check_remark_5_3),
-    "remark-5.5": (_staircase_instances, _check_remark_5_5),
+    "prop-5.7": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.7", False)),
+    "prop-5.9": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.9", True)),
+    "remark-5.3": (_r_instances, _check_remark_5_3),
+    "remark-5.5": (_r_instances, _check_remark_5_5),
     "remark-5.8": (_dup_uniform_instances, _check_remark_5_8),
 }
 

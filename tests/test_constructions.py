@@ -99,6 +99,10 @@ def test_max_coeff_sum():
     assert cons.max_coeff_sum((5, 6, 7), 23) == 4
     assert cons.max_coeff_sum((5, 6, 7), 4) == -1
     assert cons.max_coeff_sum((2, 3), 6) == 3
+    # the representation behind the sum; ties go to the first improving generator
+    assert cons.max_coeff_representation((5, 6, 7), 26) == [4, 1, 0]
+    assert cons.max_coeff_representation((5, 6, 7), 23) == [2, 1, 1]
+    assert cons.max_coeff_representation((5, 6, 7), 4) is None
 
 
 def test_nice_extension_p_too_large():

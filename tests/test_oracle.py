@@ -1,6 +1,9 @@
+import gzip
 import json
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,11 @@ from nsg.oracle import (
     naive_pf,
     naive_pf_full,
     naive_reduced_type,
+    naive_stats,
     verify_claim,
 )
+
+SMOKE_JSONL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify-smoke.jsonl.gz"
 
 
 def test_naive_closure():
@@ -27,6 +33,34 @@ def test_naive_closure():
     assert all(naive_closure([1], 5))
     with pytest.raises(GcdNotOneError):
         naive_closure([4, 6], 10)
+    # unbounded: the table stops at the first run of m members, at F + m
+    assert naive_closure([3, 4, 5]) == [True, False, False, True, True, True]
+    assert len(naive_closure([12, 15, 20, 23])) == 49 + 12 + 1
+    assert naive_closure([1]) == [True, True]
+
+
+def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
+    # F = 2**41 - 1: the first generator that brings the gcd to 1 is past the
+    # cap, so the call is refused before the table grows
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError):
+            naive_pf([2, 2**41 + 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a table that outgrows the cap on the way is refused too
+    monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
+    assert naive_frobenius([9, 10]) == 71  # F + m = 80 cells
+    with pytest.raises(GridTooLargeError):
+        naive_frobenius([12, 13])  # F + m = 143 cells
+    with pytest.raises(GridTooLargeError):
+        naive_closure([2, 3], 200)
+    # and so is a duplication table past it, though the closure of S is small
+    assert oracle.naive_duplication_stats([2, 3], [0], 41).frobenius == 43
+    with pytest.raises(GridTooLargeError):
+        oracle.naive_duplication_stats([2, 3], [0], 1001)
 
 
 def test_naive_frobenius():
@@ -60,6 +94,44 @@ def test_generator_shortcut_equals_full_check():
             continue
         assert naive_pf(gens) == naive_pf_full(gens), gens
         done += 1
+    # duplications 2*S u (2*E + d) for E = S, S* and a proper ideal, tabulated
+    # here from a closure of S and scanned over all members
+    done = 0
+    while done < 30:
+        gens = sorted(rng.sample(range(2, 16), rng.randint(2, 3)))
+        if math.gcd(*gens) != 1:
+            continue
+        s = NumericalSemigroup(gens)
+        # E, d and the conductor of E stay below F + 20, so F(dup) < 5F + 45
+        top = 6 * s.frobenius + 60
+        in_s = naive_closure(gens, top)
+        members = [x for x in range(1, top + 1) if in_s[x]]
+        d = rng.choice([x for x in members[:20] if x % 2])
+        for e_gens in ([0], list(s.minimal_generators), rng.sample(members[:12], 2)):
+            in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
+            dup = [
+                x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
+                for x in range(top + 1)
+            ]
+            naive = oracle.naive_duplication_stats(gens, e_gens, d)
+            assert naive.pf == oracle._pf_over_all_members(dup), (gens, e_gens, d)
+        done += 1
+
+
+def test_one_closure_per_call(monkeypatch):
+    calls = []
+    closure = oracle.naive_closure
+
+    def counting(gens, *args):
+        calls.append(tuple(gens))
+        return closure(gens, *args)
+
+    monkeypatch.setattr(oracle, "naive_closure", counting)
+    naive_stats([12, 15, 20, 23])
+    assert calls == [(12, 15, 20, 23)]
+    calls.clear()
+    oracle.naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
+    assert calls == [(3, 4, 5)]
 
 
 def test_naive_duplication_stats():
@@ -81,6 +153,13 @@ def test_unknown_claim():
 def test_grid_too_large():
     with pytest.raises(GridTooLargeError):
         verify_claim("thm-3.8", {"h_max": 200})
+
+
+def test_smoke_grid_matches_golden_jsonl(monkeypatch):
+    monkeypatch.setenv("NSG_THREADS", "1")
+    with gzip.open(SMOKE_JSONL, "rt") as fh:
+        golden = fh.read().splitlines()
+    assert [r.json_line() for r in verify_claim("all", {"preset": "smoke"})] == golden
 
 
 def test_report_line_format():

@@ -1,5 +1,6 @@
 """Property tests tying the Apery-set machinery to the definitional oracle."""
 
+import itertools
 import math
 
 from hypothesis import assume, given, settings
@@ -94,6 +95,40 @@ def test_core_matches_oracle_at_large_multiplicity(gens):
     assert s.genus == table.count(False)
     assert s.pf_set() == oracle.naive_pf(gens)
     assert s.pf_profile().reduced_type == oracle.naive_reduced_type(gens)
+
+
+# every generator set of at most three elements in [1, 12] with gcd 1
+_SMALL_GENS = [
+    list(c)
+    for k in (1, 2, 3)
+    for c in itertools.combinations(range(1, 13), k)
+    if math.gcd(*c) == 1
+]
+
+
+@st.composite
+def gluings(draw):
+    """Gluing data: mu in S1 and lambda in S2, neither a minimal generator, gcd 1."""
+    s1, s2 = (NumericalSemigroup(draw(st.sampled_from(_SMALL_GENS))) for _ in range(2))
+
+    def non_generators(s: NumericalSemigroup) -> list[int]:
+        top = s.frobenius + 3 * s.multiplicity + 3
+        return [x for x in range(2, top) if s.contains(x) and x not in s.minimal_generators]
+
+    lam = draw(st.sampled_from(non_generators(s2)))
+    coprime = [x for x in non_generators(s1) if math.gcd(x, lam) == 1]
+    assume(coprime)
+    return cons.GluingSpec(s1, s2, lam, draw(st.sampled_from(coprime)))
+
+
+@given(gluings())
+@settings(max_examples=60, deadline=None)
+def test_glue_matches_oracle(spec):
+    glued = cons.glue(spec)
+    naive = oracle.naive_stats(glued.minimal_generators)
+    assert glued.pf_set() == naive.pf == cons.gluing_pf(spec)
+    assert glued.frobenius == naive.frobenius == cons.gluing_frobenius_closed(spec)
+    assert glued.pf_profile().reduced_type == naive.reduced_type
 
 
 @st.composite
