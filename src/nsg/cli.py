@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -170,6 +171,7 @@ def _cmd_verify(args) -> int:
         grid["mode"] = args.mode
     if args.variant is not None:
         grid["variant"] = args.variant
+    oracle.check_claim(args.claim)  # before --out is opened, which truncates it
     claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
 
     out = open(args.out, "w") if args.out else sys.stdout
@@ -278,7 +280,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = _Parser(prog="nsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

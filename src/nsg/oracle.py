@@ -8,7 +8,9 @@ Frobenius number, the atoms S* \\ (S* + S*), the pseudo-Frobenius numbers
 pointwise from the closure of S and go through the same scan.  The claim
 registry at the bottom pits each closed-form description against these
 recomputations over parameter grids and emits one report per instance;
-mismatches are findings to surface, never to patch away.
+mismatches are findings to surface, never to patch away.  The checks read the
+oracle through a process-wide memo, one answer per distinct semigroup; direct
+``naive_*`` calls stay uncached.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -344,8 +346,10 @@ def _cap(frobenius_estimate: int, what: str) -> None:
         )
 
 
-def _gas_instances(grid: dict) -> list[dict]:
-    n0_max, s_max, d_max, p_max = grid["gas"]
+@lru_cache(maxsize=8)
+def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """The valid (n0, s, d, p) under ``bounds``, built once per process per bounds."""
+    n0_max, s_max, d_max, p_max = bounds
     out = []
     for n0 in range(3, n0_max + 1):
         for s in range(1, s_max + 1):
@@ -359,8 +363,15 @@ def _gas_instances(grid: dict) -> list[dict]:
                         fam.gas_semigroup(params)
                     except SemigroupError:
                         continue
-                    out.append({"n0": n0, "s": s, "d": d, "p": p})
-    return out
+                    out.append((n0, s, d, p))
+    return tuple(out)
+
+
+def _gas_instances(grid: dict) -> list[dict]:
+    return [
+        {"n0": n0, "s": s, "d": d, "p": p}
+        for n0, s, d, p in _gas_tuples(tuple(grid["gas"]))
+    ]
 
 
 def _with_key(instances: list[dict], key: str, values: Iterable[str]) -> list[dict]:
@@ -507,13 +518,60 @@ def _dup_uniform_instances(grid: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# Harness memo: one oracle answer per distinct semigroup per process
+#
+# Several claims ask about the same semigroup (each GAS tuple five times, the
+# duplication triples up to four times), so the checks read the oracle through
+# these caches.  They hold NaiveStats only, never tables; errors are not
+# cached; each lookup hands out its own PF list.  The size covers the full
+# grid's 2,450 semigroups and 186 duplications with room to spare.
+
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo_stats(gens: tuple[int, ...]) -> NaiveStats:
+    return naive_stats(gens)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo_dup_stats(
+    s_gens: tuple[int, ...], e_gens: tuple[int, ...], d: int
+) -> NaiveStats:
+    return naive_duplication_stats(s_gens, e_gens, d)
+
+
+def _canon(gens: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(gens)))
+
+
+def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
+    """``naive_stats(gens)``, computed once per distinct generator set."""
+    stats = _memo_stats(_canon(gens))
+    return replace(stats, pf=list(stats.pf))
+
+
+def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
+    """``naive_duplication_stats(s_gens, e_gens, d)``, computed once per distinct triple."""
+    stats = _memo_dup_stats(_canon(s_gens), _canon(e_gens), d)
+    return replace(stats, pf=list(stats.pf))
+
+
+def clear_memo() -> None:
+    """Forget every memoised oracle answer and GAS grid."""
+    _memo_stats.cache_clear()
+    _memo_dup_stats.cache_clear()
+    _gas_tuples.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # Per-claim checks (closed form vs oracle)
 
 
 def _check_thm_3_1(inst: dict) -> VerificationReport:
     params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
     closed = fam.gas_pf_closed(params, inst["variant"])
-    got = naive_pf(params.sequence)
+    got = _oracle_stats(params.sequence).pf
     return VerificationReport(
         claim=f"thm-3.1/b={params.b}/variant={inst['variant']}",
         instance=inst,
@@ -526,7 +584,7 @@ def _check_thm_3_1(inst: dict) -> VerificationReport:
 def _check_prop_3_2(inst: dict) -> VerificationReport:
     params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
     closed = fam.gas_maximal_predicate(params)
-    stats = naive_stats(params.sequence)
+    stats = _oracle_stats(params.sequence)
     return VerificationReport(
         claim=f"prop-3.2/b={params.b}",
         instance=inst,
@@ -539,7 +597,7 @@ def _check_prop_3_2(inst: dict) -> VerificationReport:
 def _check_prop_3_3(inst: dict) -> VerificationReport:
     params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
     closed = fam.gas_minimal_predicate(params, inst["mode"])
-    stats = naive_stats(params.sequence)
+    stats = _oracle_stats(params.sequence)
     return VerificationReport(
         claim=f"prop-3.3/mode={inst['mode']}",
         instance=inst,
@@ -560,7 +618,7 @@ def _bresinsky_gens(inst: dict) -> tuple[int, ...]:
 def _check_prop_3_5(inst: dict) -> VerificationReport:
     n, r = inst["n"], inst["r"]
     closed = fam.backelin_pf_closed(n, r)
-    got = naive_pf(_backelin_gens(inst))
+    got = _oracle_stats(_backelin_gens(inst)).pf
     frob_closed = fam.backelin_frobenius_closed(n, r)
     return VerificationReport(
         claim="prop-3.5",
@@ -575,7 +633,7 @@ def _check_never_extremal(
     claim: str, gens_of: Callable[[dict], Sequence[int]], inst: dict
 ) -> VerificationReport:
     """prop-3.6 (Backelin) and prop-3.10 (Bresinsky): neither maximal nor minimal."""
-    label = naive_stats(gens_of(inst)).extremality_label
+    label = _oracle_stats(gens_of(inst)).extremality_label
     return VerificationReport(
         claim=claim,
         instance=inst,
@@ -588,7 +646,7 @@ def _check_never_extremal(
 def _check_thm_3_8(inst: dict) -> VerificationReport:
     h = inst["h"]
     closed = fam.bresinsky_pf_closed(h)
-    got = naive_pf(_bresinsky_gens(inst))
+    got = _oracle_stats(_bresinsky_gens(inst)).pf
     return VerificationReport(
         claim="thm-3.8",
         instance=inst,
@@ -614,7 +672,7 @@ def _check_cor_4_2(inst: dict) -> VerificationReport:
     closed_pf = cons.gluing_pf(spec)
     type_product = len(s1.pf_set()) * len(s2.pf_set())
     closed_frob = cons.gluing_frobenius_closed(spec)
-    stats = naive_stats(_glued_gens(inst))
+    stats = _oracle_stats(_glued_gens(inst))
     return VerificationReport(
         claim="cor-4.2",
         instance=inst,
@@ -640,7 +698,7 @@ def _check_prop_4_3(inst: dict) -> VerificationReport:
             oracle=[],
             match=True,
         )
-    oracle_max = naive_stats(_glued_gens(inst)).is_maximal
+    oracle_max = _oracle_stats(_glued_gens(inst)).is_maximal
     return VerificationReport(
         claim="prop-4.3",
         instance=inst,
@@ -658,7 +716,7 @@ def _check_cor_4_6(inst: dict) -> VerificationReport:
     ext_gens = sorted(
         [inst["p"] * g for g in s.minimal_generators] + [spec.mu]
     )
-    ext_max = naive_stats(ext_gens).is_maximal
+    ext_max = _oracle_stats(ext_gens).is_maximal
     return VerificationReport(
         claim="cor-4.6",
         instance=inst,
@@ -686,7 +744,7 @@ def _check_thm_5_2(inst: dict) -> VerificationReport:
     closed_pf = cons.duplication_pf(spec)
     closed_type = cons.duplication_type_closed(spec)
     closed_frob = 2 * spec.e.tilde.frobenius + spec.d
-    stats = naive_duplication_stats(inst["gens"], inst["ideal"], inst["d"])
+    stats = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"])
     return VerificationReport(
         claim=f"thm-5.2/{_KIND_TAG[spec.e_kind]}",
         instance=inst,
@@ -701,7 +759,7 @@ def _check_thm_5_2(inst: dict) -> VerificationReport:
 def _check_thm_5_4(inst: dict) -> VerificationReport:
     spec = _dup_spec(inst)
     result = cons.duplication_min_classifier(spec)
-    oracle_min = naive_duplication_stats(inst["gens"], inst["ideal"], inst["d"]).is_minimal
+    oracle_min = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"]).is_minimal
     if result.verdict is cons.Verdict.TRUE:
         ok = oracle_min
     elif result.verdict is cons.Verdict.FALSE:
@@ -725,7 +783,7 @@ def _check_dup_maximal(claim: str, star: bool, inst: dict) -> VerificationReport
     closed_form = cons.duplication_max_star if star else cons.duplication_max_self
     closed = closed_form(s, inst["d"])
     e_gens = list(s.minimal_generators) if star else [0]
-    oracle_max = naive_duplication_stats(inst["gens"], e_gens, inst["d"]).is_maximal
+    oracle_max = _oracle_dup_stats(inst["gens"], e_gens, inst["d"]).is_maximal
     return VerificationReport(
         claim=claim,
         instance=inst,
@@ -738,7 +796,7 @@ def _check_dup_maximal(claim: str, star: bool, inst: dict) -> VerificationReport
 def _check_remark_5_3(inst: dict) -> VerificationReport:
     r = inst["r"]
     gens = list(range(r + 1, 2 * r + 2))
-    stats = naive_stats(gens)
+    stats = _oracle_stats(gens)
     closed = [fam.uniform_type_pf_closed(r), True]
     return VerificationReport(
         claim="remark-5.3",
@@ -752,7 +810,7 @@ def _check_remark_5_3(inst: dict) -> VerificationReport:
 def _check_remark_5_5(inst: dict) -> VerificationReport:
     r = inst["r"]
     gens = [r + 1 + i * (r + 2) for i in range(r + 1)]
-    stats = naive_stats(gens)
+    stats = _oracle_stats(gens)
     closed = [fam.staircase_pf_closed(r), True]
     return VerificationReport(
         claim="remark-5.5",
@@ -766,7 +824,7 @@ def _check_remark_5_5(inst: dict) -> VerificationReport:
 def _check_remark_5_8(inst: dict) -> VerificationReport:
     r, d = inst["r"], inst["d"]
     gens = list(range(r + 1, 2 * r + 2))
-    stats = naive_duplication_stats(gens, [0], d)
+    stats = _oracle_dup_stats(gens, [0], d)
     return VerificationReport(
         claim="remark-5.8",
         instance=inst,
@@ -821,6 +879,14 @@ def registered_claims() -> list[str]:
     return list(_CLAIMS)
 
 
+def check_claim(claim_id: str) -> None:
+    """Raise UnknownClaimError unless ``claim_id`` is 'all' or a registered claim."""
+    if claim_id != "all" and claim_id not in _CLAIMS:
+        raise UnknownClaimError(
+            f"unknown claim {claim_id!r}; registered: {', '.join(_CLAIMS)}"
+        )
+
+
 def _worker_count(instances: int) -> int:
     """Pool size: NSG_THREADS (default all cores), capped by cores and instances."""
     cores = os.cpu_count() or 1
@@ -850,15 +916,12 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
     order regardless of how many workers ran them (NSG_THREADS caps the pool;
     default is all cores).
     """
+    check_claim(claim_id)
     if claim_id == "all":
         out = []
         for cid in _CLAIMS:
             out.extend(verify_claim(cid, grid))
         return out
-    if claim_id not in _CLAIMS:
-        raise UnknownClaimError(
-            f"unknown claim {claim_id!r}; registered: {', '.join(_CLAIMS)}"
-        )
     instances = _CLAIMS[claim_id][0](_resolve_grid(grid))
     run = partial(_run_one, claim_id)
     workers = _worker_count(len(instances))

@@ -4,6 +4,8 @@ import json
 
 from conftest import run_cli
 
+from nsg import cli
+
 
 def test_analyze_json_record():
     code, out, _ = run_cli("analyze", "--gens", "12,15,20,23", "--json")
@@ -165,6 +167,33 @@ def test_verify_unknown_claim():
     code, _, err = run_cli("verify", "thm-9.9")
     assert code == 1
     assert "UnknownClaimError" in err
+
+
+def test_verify_unknown_claim_leaves_out_file_alone(tmp_path):
+    path = tmp_path / "reports.jsonl"
+    path.write_text("kept\n")
+    code, out, err = run_cli("verify", "thm-9.9", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert "UnknownClaimError" in err
+    assert path.read_text() == "kept\n"
+
+
+def test_parser_reuse_matches_a_fresh_parser():
+    # one parser serves every call of a process; no call leaves state behind
+    calls = [
+        ("analyze", "--gens", "3,4,5", "--json"),
+        ("glue", "--s1", "2,3", "--s2", "3,4,5", "--lambda", "7", "--mu", "4"),
+        ("dup", "--gens", "3,4,5"),
+    ]
+    reused = [run_cli(*argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 1]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_bad_thread_count_exit_1(monkeypatch):

@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import run_cli
 
 import nsg.oracle as oracle
 from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup
@@ -134,6 +135,98 @@ def test_one_closure_per_call(monkeypatch):
     assert calls == [(3, 4, 5)]
 
 
+def test_one_closure_per_distinct_semigroup(monkeypatch):
+    # verify asks the definitional engine once per distinct semigroup and
+    # once per distinct duplication; each answer costs exactly one closure
+    monkeypatch.setenv("NSG_THREADS", "1")
+    closures, stats_keys, dup_keys = [], [], []
+    closure, stats, dup_stats = oracle.naive_closure, oracle.naive_stats, oracle.naive_duplication_stats
+
+    def counting_closure(gens, *args):
+        closures.append(tuple(sorted(set(gens))))
+        return closure(gens, *args)
+
+    def counting_stats(gens):
+        stats_keys.append(tuple(sorted(set(gens))))
+        return stats(gens)
+
+    def counting_dup_stats(s_gens, e_gens, d):
+        dup_keys.append((tuple(sorted(set(s_gens))), tuple(sorted(set(e_gens))), d))
+        return dup_stats(s_gens, e_gens, d)
+
+    monkeypatch.setattr(oracle, "naive_closure", counting_closure)
+    monkeypatch.setattr(oracle, "naive_stats", counting_stats)
+    monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
+    oracle.clear_memo()
+    reports = verify_claim("all", {"preset": "smoke"})
+    assert len(set(stats_keys)) == len(stats_keys) > 0
+    assert len(set(dup_keys)) == len(dup_keys) > 0
+    assert len(reports) > len(stats_keys) + len(dup_keys)
+    assert len(closures) == len(stats_keys) + len(dup_keys)
+    assert sorted(closures) == sorted(stats_keys + [key[0] for key in dup_keys])
+    # a second run is answered from the memo alone
+    closures.clear()
+    verify_claim("all", {"preset": "smoke"})
+    assert closures == []
+
+
+def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
+    # the CLI asks for one claim at a time; the memo spans those calls
+    monkeypatch.setenv("NSG_THREADS", "1")
+    oracle.clear_memo()
+    with gzip.open(SMOKE_JSONL, "rt") as fh:
+        golden = fh.read()
+    code, out, _ = run_cli("verify", "all", "--grid", "smoke")
+    assert code == 0
+    assert out == golden
+
+
+def test_memo_hands_out_fresh_pf_lists(monkeypatch):
+    monkeypatch.setenv("NSG_THREADS", "1")
+    for claim in ("thm-3.1", "prop-3.5", "cor-4.2", "thm-5.2"):
+        first = [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})]
+        for rep in verify_claim(claim, {"preset": "smoke"}):
+            rep.oracle[0].append(-7)
+        assert [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})] == first
+    oracle._oracle_stats([3, 4, 5]).pf.clear()
+    assert oracle._oracle_stats([5, 4, 3]).pf == naive_pf([3, 4, 5])
+    oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11).pf.clear()
+    assert oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11).pf == [2, 4, 15, 17, 19]
+
+
+def test_memo_is_bounded():
+    for memo in (oracle._memo_stats, oracle._memo_dup_stats, oracle._gas_tuples):
+        assert memo.cache_info().maxsize is not None
+    # the full grid's 2,450 semigroups and 186 duplications all fit
+    assert oracle._memo_stats.cache_info().maxsize >= 2450
+    assert oracle._memo_dup_stats.cache_info().maxsize >= 186
+
+
+def test_memo_does_not_cache_errors(monkeypatch):
+    oracle.clear_memo()
+    monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
+    for _ in range(2):
+        with pytest.raises(GridTooLargeError):
+            oracle._oracle_stats([12, 13])
+        with pytest.raises(GridTooLargeError):
+            oracle._oracle_dup_stats([2, 3], [0], 1001)
+        with pytest.raises(GridTooLargeError):
+            oracle._gas_instances({"gas": (16, 3, 17, 7)})
+    assert oracle._memo_stats.cache_info().currsize == 0
+    assert oracle._memo_dup_stats.cache_info().currsize == 0
+    assert oracle._gas_tuples.cache_info().currsize == 0
+
+
+def test_gas_grid_hands_out_fresh_instances():
+    grid = {"gas": (8, 2, 9, 4)}
+    first = oracle._gas_instances(grid)
+    first[0]["n0"] = -1
+    first.append({})
+    again = oracle._gas_instances({"gas": [8, 2, 9, 4]})
+    assert again[0]["n0"] == 3 and {} not in again
+    assert len(again) == len(first) - 1
+
+
 def test_naive_duplication_stats():
     stats = oracle.naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
     assert stats.pf == [2, 4, 15, 17, 19]
@@ -180,11 +273,13 @@ def test_determinism():
 
 
 def test_parallel_runs_match_sequential(monkeypatch):
-    monkeypatch.setenv("NSG_THREADS", "1")
-    seq = [r.json_line() for r in verify_claim("prop-3.2", {"preset": "smoke"})]
-    monkeypatch.setenv("NSG_THREADS", "2")
-    par = [r.json_line() for r in verify_claim("prop-3.2", {"preset": "smoke"})]
-    assert seq == par
+    # every claim, each run from a cold memo; pool workers hold their own
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NSG_THREADS", threads)
+        oracle.clear_memo()
+        runs[threads] = [r.json_line() for r in verify_claim("all", {"preset": "smoke"})]
+    assert runs["1"] == runs["2"]
 
 
 def test_worker_count(monkeypatch):
