@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification mismatch.
 JSON output is integers-only; CSV and JSON-lines output are byte-deterministic
-for identical invocations.  NSG_THREADS caps verify parallelism.
+for identical invocations.  verify runs in one process; NSG_THREADS is validated
+(an integer >= 1) and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -171,8 +172,12 @@ def _cmd_verify(args) -> int:
         grid["mode"] = args.mode
     if args.variant is not None:
         grid["variant"] = args.variant
-    oracle.check_claim(args.claim)  # before --out is opened, which truncates it
+    # everything that can refuse the run goes before --out is opened, which truncates it
+    oracle.check_claim(args.claim)
+    oracle.check_threads()
     claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
+    for claim_id in claims:
+        oracle.claim_instances(claim_id, grid)
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:

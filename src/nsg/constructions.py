@@ -322,10 +322,7 @@ class DuplicationSpec:
     def __init__(self, s: NumericalSemigroup, e: SemigroupIdeal, d: int):
         if e.ambient != s:
             raise NotAnIdealError(f"{e} is not an ideal of {s}")
-        if d % 2 == 0:
-            raise DNotOddError(f"d = {d} is even")
-        if d < 0 or not s.contains(d):
-            raise DNotInSError(f"d = {d} is not in {s}")
+        _check_d(s, d)
         self.s = s
         self.e = e
         self.d = d

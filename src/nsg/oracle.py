@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py swaps this name
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -374,10 +374,6 @@ def _gas_instances(grid: dict) -> list[dict]:
     ]
 
 
-def _with_key(instances: list[dict], key: str, values: Iterable[str]) -> list[dict]:
-    return [dict(inst, **{key: v}) for v in values for inst in instances]
-
-
 def _bresinsky_instances(grid: dict) -> list[dict]:
     hs = range(2, grid["h_max"] + 1)
     for h in hs:
@@ -504,8 +500,11 @@ def _dup_self_instances(grid: dict) -> list[dict]:
     return out
 
 
-def _r_instances(grid: dict) -> list[dict]:
-    return [{"r": r} for r in range(1, grid["r_max"] + 1)]
+def _r_instances(what: str, frobenius_of: Callable[[int], int], grid: dict) -> list[dict]:
+    rs = range(1, grid["r_max"] + 1)
+    for r in rs:
+        _cap(frobenius_of(r), f"{what} r={r}")
+    return [{"r": r} for r in rs]
 
 
 def _dup_uniform_instances(grid: dict) -> list[dict]:
@@ -838,20 +837,16 @@ def _check_remark_5_8(inst: dict) -> VerificationReport:
 # Registry and runner
 
 
-def _gas_variant_instances(grid: dict) -> list[dict]:
-    variants = [grid["variant"]] if grid.get("variant") else list(fam.GAS_PF_VARIANTS)
-    return _with_key(_gas_instances(grid), "variant", variants)
-
-
-def _gas_mode_instances(grid: dict) -> list[dict]:
-    modes = [grid["mode"]] if grid.get("mode") else list(fam.GAS_MINIMAL_MODES)
-    return _with_key(_gas_instances(grid), "mode", modes)
+def _gas_reading_instances(key: str, readings: Sequence[str], grid: dict) -> list[dict]:
+    chosen = [grid[key]] if grid.get(key) else readings
+    instances = _gas_instances(grid)
+    return [dict(inst, **{key: v}) for v in chosen for inst in instances]
 
 
 _CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], VerificationReport]]] = {
-    "thm-3.1": (_gas_variant_instances, _check_thm_3_1),
+    "thm-3.1": (partial(_gas_reading_instances, "variant", fam.GAS_PF_VARIANTS), _check_thm_3_1),
     "prop-3.2": (_gas_instances, _check_prop_3_2),
-    "prop-3.3": (_gas_mode_instances, _check_prop_3_3),
+    "prop-3.3": (partial(_gas_reading_instances, "mode", fam.GAS_MINIMAL_MODES), _check_prop_3_3),
     "prop-3.5": (_backelin_instances, _check_prop_3_5),
     "prop-3.6": (
         _backelin_instances,
@@ -869,8 +864,8 @@ _CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], Verifica
     "thm-5.4": (_dup_instances, _check_thm_5_4),
     "prop-5.7": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.7", False)),
     "prop-5.9": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.9", True)),
-    "remark-5.3": (_r_instances, _check_remark_5_3),
-    "remark-5.5": (_r_instances, _check_remark_5_5),
+    "remark-5.3": (partial(_r_instances, "uniform-type", lambda r: r), _check_remark_5_3),
+    "remark-5.5": (partial(_r_instances, "staircase", lambda r: r * (r + 2)), _check_remark_5_5),
     "remark-5.8": (_dup_uniform_instances, _check_remark_5_8),
 }
 
@@ -887,19 +882,25 @@ def check_claim(claim_id: str) -> None:
         )
 
 
-def _worker_count(instances: int) -> int:
-    """Pool size: NSG_THREADS (default all cores), capped by cores and instances."""
-    cores = os.cpu_count() or 1
+def check_threads() -> None:
+    """Raise InvalidParamError unless NSG_THREADS is unset or an integer >= 1.
+
+    A valid value is ignored: verify runs in one process.
+    """
     env = os.environ.get("NSG_THREADS")
     if not env:
-        return min(cores, instances)
+        return
     try:
         requested = int(env)
     except ValueError:
         raise InvalidParamError(f"NSG_THREADS must be an integer, got {env!r}") from None
     if requested < 1:
         raise InvalidParamError(f"NSG_THREADS must be >= 1, got {requested}")
-    return min(requested, cores, instances)
+
+
+def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
+    """One registered claim's instances in their fixed order; a grid past a cap raises here."""
+    return _CLAIMS[claim_id][0](_resolve_grid(grid))
 
 
 def _run_one(claim_id: str, inst: dict) -> VerificationReport:
@@ -912,9 +913,8 @@ def _run_one(claim_id: str, inst: dict) -> VerificationReport:
 def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationReport]:
     """Run one registered claim (or 'all') over its grid; one report per instance.
 
-    Instances are enumerated in a fixed order and reports come back in that
-    order regardless of how many workers ran them (NSG_THREADS caps the pool;
-    default is all cores).
+    Instances are enumerated in a fixed order and checked one after another
+    in the calling process, so reports come back in that order.
     """
     check_claim(claim_id)
     if claim_id == "all":
@@ -922,11 +922,4 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
         for cid in _CLAIMS:
             out.extend(verify_claim(cid, grid))
         return out
-    instances = _CLAIMS[claim_id][0](_resolve_grid(grid))
-    run = partial(_run_one, claim_id)
-    workers = _worker_count(len(instances))
-    if workers <= 1 or len(instances) < 16:
-        return [run(inst) for inst in instances]
-    chunk = max(1, len(instances) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, instances, chunksize=chunk))
+    return [_run_one(claim_id, inst) for inst in claim_instances(claim_id, grid)]

@@ -179,6 +179,23 @@ def test_verify_unknown_claim_leaves_out_file_alone(tmp_path):
     assert path.read_text() == "kept\n"
 
 
+def test_verify_refused_run_leaves_out_file_alone(tmp_path, monkeypatch):
+    # NSG_THREADS and every requested claim's grid are checked before --out is opened
+    path = tmp_path / "reports.jsonl"
+    path.write_text("kept\n")
+    for threads, argv, error in (
+        ("abc", ("thm-3.8",), "InvalidParamError"),
+        ("", ("thm-3.8", "--h-max", "100000"), "GridTooLargeError"),
+        ("", ("all", "--grid", "smoke", "--h-max", "100000"), "GridTooLargeError"),
+    ):
+        monkeypatch.setenv("NSG_THREADS", threads)
+        code, out, err = run_cli("verify", *argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert error in err
+        assert path.read_text() == "kept\n"
+
+
 def test_parser_reuse_matches_a_fresh_parser():
     # one parser serves every call of a process; no call leaves state behind
     calls = [

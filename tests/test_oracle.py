@@ -1,6 +1,8 @@
 import gzip
 import json
 import math
+import multiprocessing.process
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -246,6 +248,9 @@ def test_unknown_claim():
 def test_grid_too_large():
     with pytest.raises(GridTooLargeError):
         verify_claim("thm-3.8", {"h_max": 200})
+    # the staircase has F = r(r+2): the cap refuses r_max = 10**5 before any check
+    with pytest.raises(GridTooLargeError, match="staircase"):
+        oracle.claim_instances("remark-5.5", {"r_max": 10**5})
 
 
 def test_smoke_grid_matches_golden_jsonl(monkeypatch):
@@ -273,30 +278,42 @@ def test_determinism():
 
 
 def test_parallel_runs_match_sequential(monkeypatch):
-    # every claim, each run from a cold memo; pool workers hold their own
+    # every claim, each run from a cold memo
     runs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NSG_THREADS", threads)
+    for threads in ("1", "2", None):
+        if threads is None:
+            monkeypatch.delenv("NSG_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NSG_THREADS", threads)
         oracle.clear_memo()
         runs[threads] = [r.json_line() for r in verify_claim("all", {"preset": "smoke"})]
-    assert runs["1"] == runs["2"]
+    assert runs["1"] == runs["2"] == runs[None]
+
+
+def test_verify_starts_no_process(monkeypatch):
+    # however many cores there are, every claim runs in the calling process
+    def refuse(self):
+        raise AssertionError("verify started a process")
+
+    monkeypatch.delenv("NSG_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    with gzip.open(SMOKE_JSONL, "rt") as fh:
+        golden = fh.read().splitlines()
+    assert [r.json_line() for r in verify_claim("all", {"preset": "smoke"})] == golden
 
 
 def test_worker_count(monkeypatch):
-    # computed only: no pool or process is started
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    # NSG_THREADS is validated, then ignored
     monkeypatch.delenv("NSG_THREADS", raising=False)
-    assert oracle._worker_count(100) == 4
-    assert oracle._worker_count(3) == 3
-    monkeypatch.setenv("NSG_THREADS", "2")
-    assert oracle._worker_count(100) == 2
-    monkeypatch.setenv("NSG_THREADS", "64")
-    assert oracle._worker_count(100) == 4
-    assert oracle._worker_count(1) == 1
+    oracle.check_threads()
+    for good in ("", "1", "2", "64"):
+        monkeypatch.setenv("NSG_THREADS", good)
+        oracle.check_threads()
     for bad in ("abc", "1.5", "0", "-3"):
         monkeypatch.setenv("NSG_THREADS", bad)
         with pytest.raises(InvalidParamError, match="NSG_THREADS"):
-            oracle._worker_count(100)
+            oracle.check_threads()
 
 
 def test_adjudication_prop_3_3():
