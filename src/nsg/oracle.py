@@ -1,16 +1,18 @@
 """Brute-force recomputation of every invariant, straight from the definitions.
 
-Nothing here touches the Apery-set machinery.  One forward DP closure grows a
-membership table until it holds a run of ``multiplicity`` consecutive members,
-which ends at F + m; one scan of that table finds the multiplicity, the
-Frobenius number, the atoms S* \\ (S* + S*), the pseudo-Frobenius numbers
-(quantified over the atoms) and the reduced type.  Duplications are tabulated
-pointwise from the closure of S and go through the same scan.  The claim
-registry at the bottom pits each closed-form description against these
-recomputations over parameter grids and emits one report per instance;
-mismatches are findings to surface, never to patch away.  The checks read the
-oracle through a process-wide memo, one answer per distinct semigroup; direct
-``naive_*`` calls stay uncached.
+Nothing here touches the Apery-set machinery.  A membership table is one
+Python int, bit x set iff x is in S, and every step is a whole-int shift or
+mask, with no Python loop per cell.  One closure ORs each generator's shifts
+into a window that doubles until its highest gap F has F + m inside it; one
+scan of that window finds the multiplicity, F, the atoms S* \\ (S* + S*), the
+pseudo-Frobenius numbers (quantified over the atoms) and the reduced type.
+A duplication's table is spread out of the closure of S and goes through the
+same scan.  ``naive_closure`` is a list view of the closure, which the slow
+all-members PF reference reads.  The claim registry at the bottom pits each
+closed-form description against these recomputations over parameter grids
+and emits one report per instance; mismatches are findings to surface, never
+to patch away.  The checks read the oracle through a process-wide memo, one
+answer per distinct semigroup; direct ``naive_*`` calls stay uncached.
 """
 
 from __future__ import annotations
@@ -64,37 +66,60 @@ def _validate(gens: Sequence[int]) -> list[int]:
     return gs
 
 
-def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
-    """table[x] iff x is a nonnegative combination of gens, by a forward DP.
+def _closure_bits(gens: Sequence[int], bound: int | None = None) -> int:
+    """S as one int: bit x is set iff x is a nonnegative combination of gens.
 
-    With ``bound`` the table covers [0, bound].  Without one it grows in a
-    single pass and stops at the first run of min(gens) consecutive positive
-    members, which ends at F + m (at 1 for N).  A table that would pass
-    ``FROBENIUS_CAP + m`` cells raises GridTooLargeError instead.
+    Each generator g is closed by doubling: the window ORs in its own shifts
+    by g, 2g, 4g, ... that still land inside it.  With ``bound`` the window is
+    [0, bound].  Without one the window doubles until its highest gap F has
+    F + m inside it, and the result is cut to [0, F + m] ([0, 1] for N).  A
+    window that would pass ``FROBENIUS_CAP + m`` cells raises
+    GridTooLargeError instead.
     """
     gs = _validate(gens)
     m = gs[0]
     limit = FROBENIUS_CAP + m
-    # an unbounded table reaches the first generator that brings the gcd to
-    # 1 (it is at most F + m), so a huge one is refused before any cell
+    # an unbounded closure reaches the first generator that brings the gcd to
+    # 1 (it is at most F + m), so a huge one is refused before any work
     reach = bound if bound is not None else next(
         g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1
     )
-    table = [True]
-    run = 0
-    while len(table) <= bound if bound is not None else run < m:
-        x = len(table)
-        if x > limit or reach > limit:
+    if reach > limit:
+        raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
+    top = max(bound, 0) if bound is not None else min(2 * reach, limit)
+    while True:
+        mask = (1 << (top + 1)) - 1
+        bits = 1
+        for g in gs:
+            k = g
+            while k <= top:
+                bits |= (bits << k) & mask
+                k <<= 1
+        if bound is not None:
+            return bits
+        frob = (bits ^ mask).bit_length() - 1
+        if frob + m <= top:
+            return bits & ((2 << max(frob + m, 1)) - 1)
+        if top == limit:
             raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
-        member = any(x >= g and table[x - g] for g in gs)
-        table.append(member)
-        run = run + 1 if member else 0
-    return table
+        top = min(2 * top, limit)
+
+
+def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
+    """table[x] iff x is a nonnegative combination of gens: a list view of the closure.
+
+    With ``bound`` the table covers [0, bound].  Without one it ends at F + m
+    (at 1 for N).  A table that would pass ``FROBENIUS_CAP + m`` cells raises
+    GridTooLargeError instead.
+    """
+    bits = _closure_bits(gens, bound)
+    cells = bits.bit_length() if bound is None else max(bound, 0) + 1
+    return list(map("1".__eq__, bin(bits)[:1:-1].ljust(cells, "0")))
 
 
 @dataclass
 class NaiveStats:
-    """Definitional F, PF and reduced type, read off one membership table."""
+    """Definitional F, PF and reduced type, read off one membership window."""
 
     pf: list[int]
     reduced_type: int
@@ -123,40 +148,44 @@ class NaiveStats:
         return "neither"
 
 
-def _stats_from_table(table: list[bool]) -> NaiveStats:
-    """The one definitional scan: F, PF and reduced type of a numerical semigroup table.
+def _stats_from_bits(bits: int) -> NaiveStats:
+    """The one definitional scan: F, PF and reduced type of a numerical semigroup.
 
-    A single pass finds m, F (the cell before the first run of m members) and
-    the atoms S* \\ (S* + S*), all of which lie in [m, F + m].  PF is every
-    non-member f in [-1, F] with f + a in S for every atom a; that is exact
-    because every element of S* is a sum of atoms.  The reduced type counts
-    [F - m + 1, F] \\ S.  The table must reach F + m.
+    ``bits`` holds S on [0, n), n = bits.bit_length(), and must reach F + m.
+    The atoms S* \\ (S* + S*) are peeled off lowest first; each one clears its
+    own translates a + S* from what is left.  PF is every gap f in [0, F] with
+    f + a in S for every atom a; that is exact because every element of S* is
+    a sum of atoms.  The reduced type counts [F - m + 1, F] \\ S.
     """
-    atoms: list[int] = []
-    run = 1  # 0 is a member
-    for x in range(1, len(table)):
-        if not table[x]:
-            run = 0
-            continue
-        run += 1
-        # every atom found so far is below x
-        if not any(table[x - a] for a in atoms):
-            atoms.append(x)
-        if run >= atoms[0]:
-            break
-    else:
-        raise AssertionError("table too short to locate the Frobenius number")
-    m = atoms[0]
-    frob = x - run
-    gaps = [-1] + [y for y in range(frob + 1) if not table[y]]
-    pf = [f for f in gaps if all(f + a > frob or table[f + a] for a in atoms)]
-    reduced = sum(1 for f in gaps if f > frob - m)
+    n = bits.bit_length()
+    gaps = bits ^ ((1 << n) - 1)
+    frob = gaps.bit_length() - 1
+    if frob < 0:
+        return NaiveStats(pf=[-1], reduced_type=1, frobenius=-1)
+    star = bits ^ 1
+    m = (star & -star).bit_length() - 1
+    if frob + m >= n:
+        raise AssertionError("window too short to locate the Frobenius number")
+    ext = bits | (-1 << (frob + 1))  # every x > F is in S
+    cand = gaps
+    rem = star
+    while rem:
+        low = rem & -rem
+        a = low.bit_length() - 1
+        cand &= ext >> a
+        rem &= ~((star << a) | low)
+    pf = []
+    while cand:
+        low = cand & -cand
+        pf.append(low.bit_length() - 1)
+        cand ^= low
+    reduced = (gaps >> (frob - m + 1)).bit_count()
     return NaiveStats(pf=pf, reduced_type=reduced, frobenius=frob)
 
 
 def naive_stats(gens: Sequence[int]) -> NaiveStats:
     """F, PF and reduced type of <gens>: one closure, one scan."""
-    return _stats_from_table(naive_closure(gens))
+    return _stats_from_bits(_closure_bits(gens))
 
 
 def naive_frobenius(gens: Sequence[int]) -> int:
@@ -170,7 +199,7 @@ def naive_pf(gens: Sequence[int]) -> list[int]:
 
 
 def naive_reduced_type(gens: Sequence[int]) -> int:
-    """|[F - m + 1, F] \\ S|, counted directly off the closure table."""
+    """|[F - m + 1, F] \\ S|, counted directly off the closure."""
     return naive_stats(gens).reduced_type
 
 
@@ -198,42 +227,39 @@ def _pf_over_all_members(table: list[bool]) -> list[int]:
     ]
 
 
+def _spread(bits: int) -> int:
+    """Move bit i of ``bits`` (a nonnegative int) to bit 2i."""
+    return int("0".join(bin(bits)[2:]), 2)
+
+
 def naive_duplication_stats(
     s_gens: Sequence[int], e_gens: Sequence[int], d: int
 ) -> NaiveStats:
     """Definitional stats of 2*S u (2*E + d), assembled without the constructions module.
 
-    ``e_gens`` are ideal generators inside S ([0] means E = S); membership of
-    the duplication is computed pointwise from the one closure of S, and the
-    duplication's table goes through the same scan as ``naive_stats``.  Like
-    the closure, a table past ``FROBENIUS_CAP`` plus its multiplicity raises
-    GridTooLargeError.
+    ``e_gens`` are ideal generators inside S ([0] means E = S).  E is the OR
+    of the shifts g + S of the one closure of S, 2*S and 2*E + d are spread
+    out of S and E bit by bit, and the duplication goes through the same scan
+    as ``naive_stats``.  Like the closure, a window past ``FROBENIUS_CAP``
+    plus its multiplicity raises GridTooLargeError.
     """
-    s_table = naive_closure(s_gens)
+    s_bits = _closure_bits(s_gens)
+    s_cells = s_bits.bit_length()
+    # the closure reaches F(S) + m(S): everything past it is in S
+    s_ext = s_bits | (-1 << s_cells)
+    e_ext = 0
+    for g in e_gens:
+        e_ext |= s_ext << g
+    # least c with [c, oo) in E
+    c_e = (~e_ext).bit_length()
 
-    def in_s(x: int) -> bool:
-        # the table reaches F(S) + m(S): everything past it is in S
-        return x >= len(s_table) or x >= 0 and s_table[x]
-
-    def in_e(x: int) -> bool:
-        return any(x >= g and in_s(x - g) for g in e_gens)
-
-    # least c with [c, oo) in E, walked down from an always-valid start
-    e_min = min(e_gens)
-    c_e = e_min + len(s_table)
-    while c_e > 0 and in_e(c_e - 1):
-        c_e -= 1
-
-    mult = min(2 * min(s_gens), 2 * e_min + d)
-    bound = max(2 * len(s_table), 2 * c_e + d) + mult
+    mult = min(2 * min(s_gens), 2 * min(e_gens) + d)
+    bound = max(2 * s_cells, 2 * c_e + d) + mult
     if bound > FROBENIUS_CAP + mult:
         raise GridTooLargeError(f"duplication table needs more than {FROBENIUS_CAP + mult} cells")
-    table = [
-        (x % 2 == 0 and in_s(x // 2))
-        or (x >= d and (x - d) % 2 == 0 and in_e((x - d) // 2))
-        for x in range(bound + 1)
-    ]
-    return _stats_from_table(table)
+    half = (1 << (bound // 2 + 1)) - 1
+    dup = _spread(s_ext & half) | _spread(e_ext & half) << d
+    return _stats_from_bits(dup & ((1 << (bound + 1)) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +526,38 @@ def _dup_self_instances(grid: dict) -> list[dict]:
     return out
 
 
+def _cap_work(what: str, work_of: Callable[[int], int], rs: range) -> None:
+    """Refuse an r-indexed grid whose summed oracle work passes ``FROBENIUS_CAP``.
+
+    ``work_of(r)`` estimates one r's oracle work as generators times
+    (F + m) cells.  The sum grows far faster than F itself (as r_max**3 for
+    the uniform type, where F = r), so a cap on F alone admits grids that
+    run for years.
+    """
+    total = 0
+    for r in rs:
+        total += work_of(r)
+        if total > FROBENIUS_CAP:
+            raise GridTooLargeError(
+                f"{what} r={rs[0]}..{rs[-1]}: estimated oracle work"
+                f" (generators x cells) passes {FROBENIUS_CAP} at r={r}"
+            )
+
+
 def _r_instances(what: str, frobenius_of: Callable[[int], int], grid: dict) -> list[dict]:
     rs = range(1, grid["r_max"] + 1)
-    for r in rs:
-        _cap(frobenius_of(r), f"{what} r={r}")
+    # r + 1 generators and multiplicity r + 1 at every r
+    _cap_work(what, lambda r: (r + 1) * (frobenius_of(r) + r + 1), rs)
     return [{"r": r} for r in rs]
 
 
 def _dup_uniform_instances(grid: dict) -> list[dict]:
+    rs = range(2, max(3, grid["r_max"] - 2) + 1)
+    # S = <r+1, ..., 2r+1> holds every x > r, so d runs over 2r+3, 2r+5, 2r+7;
+    # each duplication has r + 2 generators, F = 2r + d and m = 2r + 2
+    _cap_work("uniform-type duplication", lambda r: 3 * (r + 2) * (6 * r + 7), rs)
     out = []
-    for r in range(2, max(3, grid["r_max"] - 2) + 1):
+    for r in rs:
         s = fam.uniform_type_family(r)
         for d in _odd_members(s, 3, lo=2 * s.multiplicity + 1):
             out.append({"r": r, "d": d})

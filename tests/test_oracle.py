@@ -66,6 +66,20 @@ def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
         oracle.naive_duplication_stats([2, 3], [0], 1001)
 
 
+def test_large_closure_is_cheap():
+    # F = 1009 * 3001 - 1009 - 3001: a 3-million-cell window
+    tracemalloc.start()
+    try:
+        stats = naive_stats([1009, 3001])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.frobenius == 3_023_999
+    assert stats.pf == [3_023_999]
+    assert stats.reduced_type == 1
+    assert peak < 8 * 2**20
+
+
 def test_naive_frobenius():
     assert naive_frobenius([3, 4, 5]) == 2
     assert naive_frobenius([1]) == -1
@@ -97,6 +111,11 @@ def test_generator_shortcut_equals_full_check():
             continue
         assert naive_pf(gens) == naive_pf_full(gens), gens
         done += 1
+    # N and sets holding 1; one large generator, needed or redundant; F + m
+    # on a doubled window ([5, 7]: 28) and one cell past one ([4, 9, 10]: 19)
+    for gens in ([1], [1, 5], [1, 2, 3], [2, 257], [4, 6, 301], [3, 5, 500], [5, 7], [4, 9, 10]):
+        assert naive_pf(gens) == naive_pf_full(gens), gens
+        assert naive_frobenius(gens) == NumericalSemigroup(gens).frobenius, gens
     # duplications 2*S u (2*E + d) for E = S, S* and a proper ideal, tabulated
     # here from a closure of S and scanned over all members
     done = 0
@@ -123,13 +142,13 @@ def test_generator_shortcut_equals_full_check():
 
 def test_one_closure_per_call(monkeypatch):
     calls = []
-    closure = oracle.naive_closure
+    closure = oracle._closure_bits
 
     def counting(gens, *args):
         calls.append(tuple(gens))
         return closure(gens, *args)
 
-    monkeypatch.setattr(oracle, "naive_closure", counting)
+    monkeypatch.setattr(oracle, "_closure_bits", counting)
     naive_stats([12, 15, 20, 23])
     assert calls == [(12, 15, 20, 23)]
     calls.clear()
@@ -142,7 +161,7 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     # once per distinct duplication; each answer costs exactly one closure
     monkeypatch.setenv("NSG_THREADS", "1")
     closures, stats_keys, dup_keys = [], [], []
-    closure, stats, dup_stats = oracle.naive_closure, oracle.naive_stats, oracle.naive_duplication_stats
+    closure, stats, dup_stats = oracle._closure_bits, oracle.naive_stats, oracle.naive_duplication_stats
 
     def counting_closure(gens, *args):
         closures.append(tuple(sorted(set(gens))))
@@ -156,7 +175,7 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
         dup_keys.append((tuple(sorted(set(s_gens))), tuple(sorted(set(e_gens))), d))
         return dup_stats(s_gens, e_gens, d)
 
-    monkeypatch.setattr(oracle, "naive_closure", counting_closure)
+    monkeypatch.setattr(oracle, "_closure_bits", counting_closure)
     monkeypatch.setattr(oracle, "naive_stats", counting_stats)
     monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
     oracle.clear_memo()
@@ -251,6 +270,28 @@ def test_grid_too_large():
     # the staircase has F = r(r+2): the cap refuses r_max = 10**5 before any check
     with pytest.raises(GridTooLargeError, match="staircase"):
         oracle.claim_instances("remark-5.5", {"r_max": 10**5})
+
+
+def test_r_grids_are_capped_by_work(monkeypatch):
+    # the summed work grows far faster than F (as r_max**3 where F = r), so
+    # the cap is on generators x cells over the grid, checked before any build
+    def refuse(r):
+        raise AssertionError("built a semigroup")
+
+    monkeypatch.setattr(oracle.fam, "uniform_type_family", refuse)
+    for claim, what, largest in (
+        ("remark-5.3", "uniform-type", 245),
+        ("remark-5.5", "staircase", 77),
+        ("remark-5.8", "uniform-type duplication", 118),
+    ):
+        with pytest.raises(GridTooLargeError, match=what):
+            oracle.claim_instances(claim, {"r_max": 10**5})
+        with pytest.raises(GridTooLargeError, match=what):
+            oracle.claim_instances(claim, {"r_max": largest + 1})
+        if claim != "remark-5.8":
+            assert len(oracle.claim_instances(claim, {"r_max": largest})) == largest
+    monkeypatch.undo()
+    assert len(oracle.claim_instances("remark-5.8", {"r_max": 118})) == 3 * 115
 
 
 def test_smoke_grid_matches_golden_jsonl(monkeypatch):
