@@ -1,9 +1,9 @@
 """Command-line front end: analyze, construct, verify, sweep.
 
-Exit codes: 0 success, 1 usage or validation error, 2 verification mismatch.
-JSON output is integers-only; CSV and JSON-lines output are byte-deterministic
-for identical invocations.  verify runs in one process; NSG_THREADS is validated
-(an integer >= 1) and otherwise ignored.
+Exit codes: 0 success, 1 usage, validation or output-file error, 2 verification
+mismatch.  JSON output is integers-only; CSV and JSON-lines output are
+byte-deterministic for identical invocations.  verify runs in one process;
+NSG_THREADS is validated (an integer >= 1) and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -176,24 +176,23 @@ def _cmd_verify(args) -> int:
     oracle.check_claim(args.claim)
     oracle.check_threads()
     claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
-    for claim_id in claims:
-        oracle.claim_instances(claim_id, grid)
+    plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         all_pass = True
-        for claim_id in claims:
-            reports = oracle.verify_claim(claim_id, grid)
-            for rep in reports:
+        for claim_id, instances in plan:
+            reports = []
+            for inst in instances:
+                rep = oracle.run_instance(claim_id, inst)
                 print(rep.json_line(), file=out)
+                reports.append(rep)
             matched = sum(r.match for r in reports)
             print(
                 f"{claim_id}: {matched}/{len(reports)} matched", file=sys.stderr
             )
-            if claim_id in oracle.ADJUDICATED and len(
-                {r.instance[oracle.ADJUDICATED[claim_id]] for r in reports}
-            ) > 1:
-                verdict = oracle.adjudicate(claim_id, reports)
+            verdict = oracle.adjudicate(claim_id, reports)
+            if verdict is not None:
                 rates = ", ".join(f"{k} {v}" for k, v in verdict["rates"].items())
                 name = verdict["decided"] or "UNDECIDED"
                 print(
@@ -369,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SemigroupError as exc:
+    except (SemigroupError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -9,16 +9,22 @@ pseudo-Frobenius numbers (quantified over the atoms) and the reduced type.
 A duplication's table is spread out of the closure of S and goes through the
 same scan.  ``naive_closure`` is a list view of the closure, which the slow
 all-members PF reference reads.  The claim registry at the bottom pits each
-closed-form description against these recomputations over parameter grids
-and emits one report per instance; mismatches are findings to surface, never
-to patch away.  The checks read the oracle through a process-wide memo, one
-answer per distinct semigroup; direct ``naive_*`` calls stay uncached.
+closed-form description against these recomputations over parameter grids.
+Each check returns what it computed: a claim label, the closed form and the
+oracle's answer.  ``run_instance`` times the check, judges it and builds the
+one report per instance.  An iff claim passes when the closed form equals
+the oracle's answer; prop-4.3 and thm-5.4 are one-way soundness checks,
+which pass unless the closed form contradicts the oracle.  Mismatches are
+findings to surface, never to patch away.  The checks read the oracle
+through a process-wide memo, one answer per distinct semigroup; direct
+``naive_*`` calls stay uncached.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py swaps this name
@@ -292,15 +298,20 @@ class VerificationReport:
 ADJUDICATED = {"thm-3.1": "variant", "prop-3.3": "mode"}
 
 
-def adjudicate(claim_id: str, reports: Iterable[VerificationReport]) -> dict:
-    """Per-reading match rates for an adjudicated claim."""
-    key = ADJUDICATED[claim_id]
+def adjudicate(claim_id: str, reports: Iterable[VerificationReport]) -> dict | None:
+    """Per-reading match rates, or None unless the claim is adjudicated and
+    its reports carry two or more readings."""
+    key = ADJUDICATED.get(claim_id)
+    if key is None:
+        return None
     totals: dict[str, list[int]] = {}
     for rep in reports:
         val = rep.instance[key]
         tot = totals.setdefault(val, [0, 0])
         tot[0] += rep.match
         tot[1] += 1
+    if len(totals) < 2:
+        return None
     clean = sorted(v for v, (ok, n) in totals.items() if ok == n and n > 0)
     return {
         "claim": claim_id,
@@ -312,12 +323,10 @@ def adjudicate(claim_id: str, reports: Iterable[VerificationReport]) -> dict:
 
 
 def claim_passes(claim_id: str, reports: list[VerificationReport]) -> bool:
-    """All-match for ordinary claims; exactly-one-clean-reading for adjudicated ones."""
-    if claim_id in ADJUDICATED:
-        key = ADJUDICATED[claim_id]
-        readings = {rep.instance[key] for rep in reports}
-        if len(readings) > 1:
-            return adjudicate(claim_id, reports)["decided"] is not None
+    """Exactly one clean reading when two are adjudicated; otherwise every report matches."""
+    verdict = adjudicate(claim_id, reports)
+    if verdict is not None:
+        return verdict["decided"] is not None
     return all(rep.match for rep in reports)
 
 
@@ -612,45 +621,39 @@ def clear_memo() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-claim checks (closed form vs oracle)
+# Per-claim checks: each returns (claim label, closed form, oracle answer)
+
+Check = tuple[str, list, list]
 
 
-def _check_thm_3_1(inst: dict) -> VerificationReport:
-    params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
-    closed = fam.gas_pf_closed(params, inst["variant"])
-    got = _oracle_stats(params.sequence).pf
-    return VerificationReport(
-        claim=f"thm-3.1/b={params.b}/variant={inst['variant']}",
-        instance=inst,
-        closed_form=[closed],
-        oracle=[got],
-        match=closed == got,
+def _gas_params(inst: dict) -> fam.GasParams:
+    return fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
+
+
+def _check_thm_3_1(inst: dict) -> Check:
+    params = _gas_params(inst)
+    return (
+        f"thm-3.1/b={params.b}/variant={inst['variant']}",
+        [fam.gas_pf_closed(params, inst["variant"])],
+        [_oracle_stats(params.sequence).pf],
     )
 
 
-def _check_prop_3_2(inst: dict) -> VerificationReport:
-    params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
-    closed = fam.gas_maximal_predicate(params)
-    stats = _oracle_stats(params.sequence)
-    return VerificationReport(
-        claim=f"prop-3.2/b={params.b}",
-        instance=inst,
-        closed_form=[closed],
-        oracle=[stats.is_maximal],
-        match=closed == stats.is_maximal,
+def _check_prop_3_2(inst: dict) -> Check:
+    params = _gas_params(inst)
+    return (
+        f"prop-3.2/b={params.b}",
+        [fam.gas_maximal_predicate(params)],
+        [_oracle_stats(params.sequence).is_maximal],
     )
 
 
-def _check_prop_3_3(inst: dict) -> VerificationReport:
-    params = fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
-    closed = fam.gas_minimal_predicate(params, inst["mode"])
-    stats = _oracle_stats(params.sequence)
-    return VerificationReport(
-        claim=f"prop-3.3/mode={inst['mode']}",
-        instance=inst,
-        closed_form=[closed],
-        oracle=[stats.is_minimal],
-        match=closed == stats.is_minimal,
+def _check_prop_3_3(inst: dict) -> Check:
+    params = _gas_params(inst)
+    return (
+        f"prop-3.3/mode={inst['mode']}",
+        [fam.gas_minimal_predicate(params, inst["mode"])],
+        [_oracle_stats(params.sequence).is_minimal],
     )
 
 
@@ -662,115 +665,66 @@ def _bresinsky_gens(inst: dict) -> tuple[int, ...]:
     return fam.BresinskyParams(inst["h"]).generators
 
 
-def _check_prop_3_5(inst: dict) -> VerificationReport:
+def _check_prop_3_5(inst: dict) -> Check:
     n, r = inst["n"], inst["r"]
-    closed = fam.backelin_pf_closed(n, r)
+    closed = [fam.backelin_pf_closed(n, r), fam.backelin_frobenius_closed(n, r)]
     got = _oracle_stats(_backelin_gens(inst)).pf
-    frob_closed = fam.backelin_frobenius_closed(n, r)
-    return VerificationReport(
-        claim="prop-3.5",
-        instance=inst,
-        closed_form=[closed, frob_closed],
-        oracle=[got, max(got)],
-        match=closed == got and frob_closed == max(got),
-    )
+    return "prop-3.5", closed, [got, max(got)]
 
 
 def _check_never_extremal(
     claim: str, gens_of: Callable[[dict], Sequence[int]], inst: dict
-) -> VerificationReport:
+) -> Check:
     """prop-3.6 (Backelin) and prop-3.10 (Bresinsky): neither maximal nor minimal."""
-    label = _oracle_stats(gens_of(inst)).extremality_label
-    return VerificationReport(
-        claim=claim,
-        instance=inst,
-        closed_form=["neither"],
-        oracle=[label],
-        match=label == "neither",
-    )
+    return claim, ["neither"], [_oracle_stats(gens_of(inst)).extremality_label]
 
 
-def _check_thm_3_8(inst: dict) -> VerificationReport:
+def _check_thm_3_8(inst: dict) -> Check:
     h = inst["h"]
-    closed = fam.bresinsky_pf_closed(h)
+    closed = [fam.bresinsky_pf_closed(h), 4 * h - 3]
     got = _oracle_stats(_bresinsky_gens(inst)).pf
-    return VerificationReport(
-        claim="thm-3.8",
-        instance=inst,
-        closed_form=[closed, 4 * h - 3],
-        oracle=[got, len(got)],
-        match=closed == got and len(got) == 4 * h - 3,
+    return "thm-3.8", closed, [got, len(got)]
+
+
+def _gluing_spec(inst: dict) -> cons.GluingSpec:
+    return cons.GluingSpec(
+        NumericalSemigroup(inst["s1"]), NumericalSemigroup(inst["s2"]), inst["lambda"], inst["mu"]
     )
 
 
-def _glued_gens(inst: dict) -> list[int]:
-    s1 = NumericalSemigroup(inst["s1"])
-    s2 = NumericalSemigroup(inst["s2"])
+def _glued_gens(spec: cons.GluingSpec) -> list[int]:
     return sorted(
-        [inst["lambda"] * g for g in s1.minimal_generators]
-        + [inst["mu"] * g for g in s2.minimal_generators]
+        [spec.lam * g for g in spec.s1.minimal_generators]
+        + [spec.mu * g for g in spec.s2.minimal_generators]
     )
 
 
-def _check_cor_4_2(inst: dict) -> VerificationReport:
-    s1 = NumericalSemigroup(inst["s1"])
-    s2 = NumericalSemigroup(inst["s2"])
-    spec = cons.GluingSpec(s1, s2, inst["lambda"], inst["mu"])
-    closed_pf = cons.gluing_pf(spec)
-    type_product = len(s1.pf_set()) * len(s2.pf_set())
-    closed_frob = cons.gluing_frobenius_closed(spec)
-    stats = _oracle_stats(_glued_gens(inst))
-    return VerificationReport(
-        claim="cor-4.2",
-        instance=inst,
-        closed_form=[closed_pf, type_product, closed_frob],
-        oracle=[stats.pf, stats.cm_type, stats.frobenius],
-        match=closed_pf == stats.pf
-        and type_product == stats.cm_type
-        and closed_frob == stats.frobenius,
-    )
+def _check_cor_4_2(inst: dict) -> Check:
+    spec = _gluing_spec(inst)
+    closed = [
+        cons.gluing_pf(spec),
+        len(spec.s1.pf_set()) * len(spec.s2.pf_set()),
+        cons.gluing_frobenius_closed(spec),
+    ]
+    stats = _oracle_stats(_glued_gens(spec))
+    return "cor-4.2", closed, [stats.pf, stats.cm_type, stats.frobenius]
 
 
-def _check_prop_4_3(inst: dict) -> VerificationReport:
-    s1 = NumericalSemigroup(inst["s1"])
-    s2 = NumericalSemigroup(inst["s2"])
-    spec = cons.GluingSpec(s1, s2, inst["lambda"], inst["mu"])
+def _check_prop_4_3(inst: dict) -> Check:
+    spec = _gluing_spec(inst)
     try:
         condition = cons.gluing_maximal_sufficient(spec)
     except cons.NotApplicableError:
-        return VerificationReport(
-            claim="prop-4.3",
-            instance=inst,
-            closed_form=["not-applicable"],
-            oracle=[],
-            match=True,
-        )
-    oracle_max = _oracle_stats(_glued_gens(inst)).is_maximal
-    return VerificationReport(
-        claim="prop-4.3",
-        instance=inst,
-        closed_form=[condition],
-        oracle=[oracle_max],
-        # sufficient only: a true condition must force maximality
-        match=(not condition) or oracle_max,
-    )
+        return "prop-4.3", ["not-applicable"], []
+    return "prop-4.3", [condition], [_oracle_stats(_glued_gens(spec)).is_maximal]
 
 
-def _check_cor_4_6(inst: dict) -> VerificationReport:
+def _check_cor_4_6(inst: dict) -> Check:
     s = NumericalSemigroup(inst["s"])
     spec = cons.nice_extension(s, inst["p"], inst["coeffs"])
     base_max = s.pf_profile().extremality.is_maximal
-    ext_gens = sorted(
-        [inst["p"] * g for g in s.minimal_generators] + [spec.mu]
-    )
-    ext_max = _oracle_stats(ext_gens).is_maximal
-    return VerificationReport(
-        claim="cor-4.6",
-        instance=inst,
-        closed_form=[base_max],
-        oracle=[ext_max],
-        match=base_max == ext_max,
-    )
+    ext_gens = sorted([inst["p"] * g for g in s.minimal_generators] + [spec.mu])
+    return "cor-4.6", [base_max], [_oracle_stats(ext_gens).is_maximal]
 
 
 def _dup_spec(inst: dict) -> cons.DuplicationSpec:
@@ -786,99 +740,70 @@ _KIND_TAG = {
 }
 
 
-def _check_thm_5_2(inst: dict) -> VerificationReport:
+def _check_thm_5_2(inst: dict) -> Check:
     spec = _dup_spec(inst)
-    closed_pf = cons.duplication_pf(spec)
-    closed_type = cons.duplication_type_closed(spec)
-    closed_frob = 2 * spec.e.tilde.frobenius + spec.d
+    closed = [
+        cons.duplication_pf(spec),
+        cons.duplication_type_closed(spec),
+        2 * spec.e.tilde.frobenius + spec.d,
+    ]
     stats = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"])
-    return VerificationReport(
-        claim=f"thm-5.2/{_KIND_TAG[spec.e_kind]}",
-        instance=inst,
-        closed_form=[closed_pf, closed_type, closed_frob],
-        oracle=[stats.pf, stats.cm_type, stats.frobenius],
-        match=closed_pf == stats.pf
-        and closed_type == stats.cm_type
-        and closed_frob == stats.frobenius,
-    )
+    return f"thm-5.2/{_KIND_TAG[spec.e_kind]}", closed, [stats.pf, stats.cm_type, stats.frobenius]
 
 
-def _check_thm_5_4(inst: dict) -> VerificationReport:
-    spec = _dup_spec(inst)
-    result = cons.duplication_min_classifier(spec)
+def _check_thm_5_4(inst: dict) -> Check:
+    result = cons.duplication_min_classifier(_dup_spec(inst))
     oracle_min = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"]).is_minimal
-    if result.verdict is cons.Verdict.TRUE:
-        ok = oracle_min
-    elif result.verdict is cons.Verdict.FALSE:
-        ok = not oracle_min
-    elif result.verdict is cons.Verdict.SUFFICIENT_ONLY_TRUE:
-        ok = oracle_min
-    else:
-        ok = True
-    return VerificationReport(
-        claim=f"thm-5.4/{result.clause}",
-        instance=inst,
-        closed_form=[result.clause, result.verdict.value],
-        oracle=[oracle_min],
-        match=ok,
-    )
+    return f"thm-5.4/{result.clause}", [result.clause, result.verdict.value], [oracle_min]
 
 
-def _check_dup_maximal(claim: str, star: bool, inst: dict) -> VerificationReport:
+def _check_dup_maximal(claim: str, star: bool, inst: dict) -> Check:
     """prop-5.7 (E = S) and prop-5.9 (E = S*): the maximality iff of the duplication."""
     s = NumericalSemigroup(inst["gens"])
     closed_form = cons.duplication_max_star if star else cons.duplication_max_self
     closed = closed_form(s, inst["d"])
     e_gens = list(s.minimal_generators) if star else [0]
-    oracle_max = _oracle_dup_stats(inst["gens"], e_gens, inst["d"]).is_maximal
-    return VerificationReport(
-        claim=claim,
-        instance=inst,
-        closed_form=[closed],
-        oracle=[oracle_max],
-        match=closed == oracle_max,
-    )
+    return claim, [closed], [_oracle_dup_stats(inst["gens"], e_gens, inst["d"]).is_maximal]
 
 
-def _check_remark_5_3(inst: dict) -> VerificationReport:
+def _check_remark_5_3(inst: dict) -> Check:
     r = inst["r"]
-    gens = list(range(r + 1, 2 * r + 2))
-    stats = _oracle_stats(gens)
-    closed = [fam.uniform_type_pf_closed(r), True]
-    return VerificationReport(
-        claim="remark-5.3",
-        instance=inst,
-        closed_form=closed,
-        oracle=[stats.pf, stats.is_maximal],
-        match=closed == [stats.pf, stats.is_maximal],
-    )
+    stats = _oracle_stats(list(range(r + 1, 2 * r + 2)))
+    return "remark-5.3", [fam.uniform_type_pf_closed(r), True], [stats.pf, stats.is_maximal]
 
 
-def _check_remark_5_5(inst: dict) -> VerificationReport:
+def _check_remark_5_5(inst: dict) -> Check:
     r = inst["r"]
-    gens = [r + 1 + i * (r + 2) for i in range(r + 1)]
-    stats = _oracle_stats(gens)
-    closed = [fam.staircase_pf_closed(r), True]
-    return VerificationReport(
-        claim="remark-5.5",
-        instance=inst,
-        closed_form=closed,
-        oracle=[stats.pf, stats.is_minimal],
-        match=closed == [stats.pf, stats.is_minimal],
-    )
+    stats = _oracle_stats([r + 1 + i * (r + 2) for i in range(r + 1)])
+    return "remark-5.5", [fam.staircase_pf_closed(r), True], [stats.pf, stats.is_minimal]
 
 
-def _check_remark_5_8(inst: dict) -> VerificationReport:
-    r, d = inst["r"], inst["d"]
-    gens = list(range(r + 1, 2 * r + 2))
-    stats = _oracle_dup_stats(gens, [0], d)
-    return VerificationReport(
-        claim="remark-5.8",
-        instance=inst,
-        closed_form=[r, True],
-        oracle=[stats.cm_type, stats.is_maximal],
-        match=stats.cm_type == r and stats.is_maximal,
-    )
+def _check_remark_5_8(inst: dict) -> Check:
+    r = inst["r"]
+    stats = _oracle_dup_stats(list(range(r + 1, 2 * r + 2)), [0], inst["d"])
+    return "remark-5.8", [r, True], [stats.cm_type, stats.is_maximal]
+
+
+# ---------------------------------------------------------------------------
+# Judges: an iff claim passes when its closed form equals the oracle's answer;
+# the two one-directional criteria pass unless the closed form contradicts it
+
+
+def _sufficient_for_maximal(closed_form: list, oracle: list) -> bool:
+    """prop-4.3: a true condition must come with maximality; not-applicable passes."""
+    return closed_form[0] is not True or oracle[0]
+
+
+def _verdict_not_contradicted(closed_form: list, oracle: list) -> bool:
+    """thm-5.4: a verdict must not contradict the oracle's minimality; NoConclusion passes."""
+    verdict = cons.Verdict(closed_form[1])
+    return verdict is cons.Verdict.NO_CONCLUSION or oracle[0] == (verdict is not cons.Verdict.FALSE)
+
+
+_ONE_WAY_JUDGES: dict[str, Callable[[list, list], bool]] = {
+    "prop-4.3": _sufficient_for_maximal,
+    "thm-5.4": _verdict_not_contradicted,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +816,7 @@ def _gas_reading_instances(key: str, readings: Sequence[str], grid: dict) -> lis
     return [dict(inst, **{key: v}) for v in chosen for inst in instances]
 
 
-_CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], VerificationReport]]] = {
+_CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], Check]]] = {
     "thm-3.1": (partial(_gas_reading_instances, "variant", fam.GAS_PF_VARIANTS), _check_thm_3_1),
     "prop-3.2": (_gas_instances, _check_prop_3_2),
     "prop-3.3": (partial(_gas_reading_instances, "mode", fam.GAS_MINIMAL_MODES), _check_prop_3_3),
@@ -951,9 +876,12 @@ def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
     return _CLAIMS[claim_id][0](_resolve_grid(grid))
 
 
-def _run_one(claim_id: str, inst: dict) -> VerificationReport:
+def run_instance(claim_id: str, inst: dict) -> VerificationReport:
+    """Check one instance of a registered claim and judge it; ``elapsed`` times both."""
     t0 = time.perf_counter()
-    report = _CLAIMS[claim_id][1](inst)
+    label, closed_form, got = _CLAIMS[claim_id][1](inst)
+    judge = _ONE_WAY_JUDGES.get(claim_id, operator.eq)
+    report = VerificationReport(label, inst, closed_form, got, judge(closed_form, got))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -970,4 +898,4 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
         for cid in _CLAIMS:
             out.extend(verify_claim(cid, grid))
         return out
-    return [_run_one(claim_id, inst) for inst in claim_instances(claim_id, grid)]
+    return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]

@@ -4,7 +4,7 @@ import json
 
 from conftest import run_cli
 
-from nsg import cli
+from nsg import cli, oracle
 
 
 def test_analyze_json_record():
@@ -194,6 +194,43 @@ def test_verify_refused_run_leaves_out_file_alone(tmp_path, monkeypatch):
         assert out == ""
         assert error in err
         assert path.read_text() == "kept\n"
+
+
+def test_unopenable_out_file_is_an_error_not_a_traceback(tmp_path):
+    missing = tmp_path / "missing" / "x"
+    for argv in (
+        ("verify", "thm-3.8", "--grid", "smoke"),
+        ("sweep", "uniform-type", "--r-range", "1:3"),
+    ):
+        for path, error in ((missing, "FileNotFoundError"), (tmp_path, "IsADirectoryError")):
+            code, out, err = run_cli(*argv, "--out", str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: {error}: ")
+    assert not missing.parent.exists()
+
+
+def test_verify_runs_the_plan_it_validated_and_streams(monkeypatch):
+    # each claim is enumerated once, and every line is out before the next check runs
+    enumerated, printed_before = [], []
+    claim_instances, run_instance = oracle.claim_instances, oracle.run_instance
+    out = io.StringIO()
+
+    def counting(claim_id, grid=None):
+        enumerated.append(claim_id)
+        return claim_instances(claim_id, grid)
+
+    def watching(claim_id, inst):
+        printed_before.append(out.getvalue().count("\n"))
+        return run_instance(claim_id, inst)
+
+    monkeypatch.setattr(oracle, "claim_instances", counting)
+    monkeypatch.setattr(oracle, "run_instance", watching)
+    monkeypatch.setattr("sys.stdout", out)
+    assert cli.main(["verify", "all", "--grid", "smoke"]) == 0
+    assert enumerated == oracle.registered_claims()
+    assert printed_before == list(range(len(printed_before)))
+    assert out.getvalue().count("\n") == len(printed_before) > 0
 
 
 def test_parser_reuse_matches_a_fresh_parser():

@@ -11,6 +11,7 @@ import pytest
 from conftest import run_cli
 
 import nsg.oracle as oracle
+from nsg.constructions import Verdict
 from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup
 from nsg.oracle import (
     GridTooLargeError,
@@ -382,6 +383,43 @@ def test_adjudication_thm_3_1():
         else:
             b = inst["n0"] % inst["p"]
             assert rep.match == (inst["s"] == 1 or b < 2), inst
+
+
+def _lie(stats):
+    """A wrong oracle answer: one PF element too many, F one higher, maximality flipped."""
+    pf = stats.pf + [stats.frobenius + 1]
+    return oracle.NaiveStats(
+        pf=pf, reduced_type=1 if stats.is_maximal else len(pf), frobenius=stats.frobenius + 1
+    )
+
+
+@pytest.mark.parametrize(
+    "claim", ["prop-3.5", "cor-4.2", "cor-4.6", "thm-5.2", "prop-5.7", "remark-5.8"]
+)
+def test_equality_judge_reports_a_wrong_oracle(monkeypatch, claim):
+    # claims that are not adjudicated pass only when closed form == oracle
+    stats, dup_stats = oracle._oracle_stats, oracle._oracle_dup_stats
+    monkeypatch.setattr(oracle, "_oracle_stats", lambda gens: _lie(stats(gens)))
+    monkeypatch.setattr(oracle, "_oracle_dup_stats", lambda *key: _lie(dup_stats(*key)))
+    reports = verify_claim(claim, {"preset": "smoke"})
+    assert reports
+    assert not any(json.loads(r.json_line())["match"] for r in reports)
+    assert not oracle.claim_passes(claim, reports)
+
+
+def test_one_way_judges_fail_only_on_a_contradiction():
+    sufficient = oracle._ONE_WAY_JUDGES["prop-4.3"]
+    for condition in (True, False, "not-applicable"):
+        for maximal in (True, False):
+            ok = sufficient([condition], [maximal])
+            assert ok is ((condition, maximal) != (True, False)), (condition, maximal)
+    assert sufficient(["not-applicable"], [])  # what the check reports when it cannot apply
+    sound = oracle._ONE_WAY_JUDGES["thm-5.4"]
+    contradictions = {("True", False), ("SufficientOnly-True", False), ("False", True)}
+    for verdict in Verdict:
+        for minimal in (True, False):
+            ok = sound(["clause", verdict.value], [minimal])
+            assert ok is ((verdict.value, minimal) not in contradictions), (verdict, minimal)
 
 
 def test_refined_claim_ids():
