@@ -19,7 +19,7 @@ from typing import Sequence, TextIO
 from . import constructions as cons
 from . import families as fam
 from . import oracle
-from .core import NumericalSemigroup, SemigroupError
+from .core import InvalidParamError, NumericalSemigroup, SemigroupError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +141,11 @@ def _parse_ideal(s: NumericalSemigroup, text: str) -> cons.SemigroupIdeal:
         return cons.ideal_full(s)
     if text == "S*":
         return cons.ideal_star(s)
-    return cons.SemigroupIdeal(s, _int_list(text))
+    try:
+        gens = _int_list(text)
+    except argparse.ArgumentTypeError as exc:  # raised outside argparse, so name it here
+        raise InvalidParamError(f"--ideal: {exc}") from None
+    return cons.SemigroupIdeal(s, gens)
 
 
 def _cmd_dup(args) -> int:

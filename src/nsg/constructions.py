@@ -341,8 +341,16 @@ def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     assumed, so the construction stays valid where a formula's hypotheses fail.
     """
     s, e, d = spec.s, spec.e, spec.d
-    gens = [2 * g for g in s.minimal_generators] + [2 * g + d for g in e.gens]
-    return NumericalSemigroup(NumericalSemigroup(gens).minimal_generators)
+    gens = sorted({2 * g for g in s.minimal_generators} | {2 * g + d for g in e.gens})
+
+    def member(x: int) -> bool:
+        return s.contains(x // 2) if x % 2 == 0 else e.contains((x - d) // 2)
+
+    # minimal before the one build, so that generators == minimal_generators:
+    # n is a sum of two nonzero members iff n - g is a member for a smaller g
+    return NumericalSemigroup(
+        n for i, n in enumerate(gens) if not any(member(n - g) for g in gens[:i])
+    )
 
 
 def _require_proper_ambient_for_star(spec: DuplicationSpec) -> None:

@@ -151,6 +151,14 @@ def test_dup_validation_exit_1():
     assert "DNotInSError" in err
 
 
+def test_dup_non_integer_ideal_exit_1():
+    code, out, err = run_cli("dup", "--gens", "3,5", "--ideal", "foo", "--d", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidParamError: --ideal:")
+    assert "Traceback" not in err
+
+
 def test_verify_single_claim():
     code, out, err = run_cli("verify", "thm-3.8", "--h-max", "6")
     assert code == 0

@@ -190,7 +190,7 @@ def test_duplicate_examples():
     spec = DuplicationSpec(S567, cons.ideal_full(S567), 7)
     dup = cons.duplicate(spec)
     assert dup == NumericalSemigroup([7, 10, 12, 14])
-    assert dup.minimal_generators == (7, 10, 12)
+    assert dup.generators == dup.minimal_generators == (7, 10, 12)
     assert dup.pf_set() == [23, 25]
 
     e = SemigroupIdeal(S345, [5, 6, 7])
@@ -201,6 +201,18 @@ def test_duplicate_examples():
     # N bowtie^1 N = N
     spec = DuplicationSpec(naturals(), cons.ideal_full(naturals()), 1)
     assert cons.duplicate(spec) == naturals()
+
+
+def test_duplicate_builds_one_semigroup(monkeypatch):
+    builds = []
+    init = NumericalSemigroup.__init__
+    monkeypatch.setattr(
+        NumericalSemigroup, "__init__", lambda self, gens: builds.append(1) or init(self, gens)
+    )
+    # 2 * 7 = (0 + 7) + (0 + 7) is redundant among the supplied generators
+    dup = cons.duplicate(DuplicationSpec(S567, cons.ideal_full(S567), 7))
+    assert len(builds) == 1
+    assert dup.generators == (7, 10, 12)
 
 
 def test_duplication_pf_three_cases():

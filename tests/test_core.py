@@ -142,6 +142,19 @@ def test_pf_profile():
     assert prof.pf_prime == ()
 
 
+def test_pf_profile_reads_ap_without_a_member_test_per_residue(monkeypatch):
+    s = NumericalSemigroup([3000, 3001, 3007, 3011, 3013, 3019, 3023, 3037])
+    assert len(s.minimal_generators) == 8
+    calls = []
+    contains = NumericalSemigroup.contains
+    monkeypatch.setattr(
+        NumericalSemigroup, "contains", lambda self, x: calls.append(x) or contains(self, x)
+    )
+    prof = s.pf_profile()
+    assert len(calls) < s.multiplicity
+    assert prof.pf[-1] == s.frobenius
+
+
 def test_extremality_flags():
     assert Extremality.BOTH.is_maximal and Extremality.BOTH.is_minimal
     assert Extremality.MAXIMAL_ONLY.is_maximal and not Extremality.MAXIMAL_ONLY.is_minimal

@@ -37,6 +37,26 @@ def test_reduced_type_dual_path_and_bounds(gens):
     )
 
 
+@st.composite
+def messy_generator_lists(draw):
+    """Generator lists for any S, N included, with repeats and redundant sums mixed in."""
+    gens = draw(st.one_of(st.just([1]), generator_lists()))
+    sums = [a + b for a in gens for b in gens]
+    gens = gens + draw(st.lists(st.sampled_from(gens + sums), max_size=4))
+    return draw(st.permutations(gens))
+
+
+@given(messy_generator_lists())
+@settings(max_examples=100, deadline=None)
+def test_apery_readout_matches_member_test_and_oracle(gens):
+    s = NumericalSemigroup(gens)
+    frob, m = s.frobenius, s.multiplicity
+    window_gaps = sum(not s.contains(x) for x in range(frob - m + 1, frob + 1))
+    assert s.pf_profile().reduced_type == window_gaps
+    assert s.pf_set() == oracle.naive_pf(gens)
+    assert s.genus == sum(not s.contains(x) for x in range(frob + 1))
+
+
 @given(generator_lists())
 @settings(max_examples=60, deadline=None)
 def test_apery_invariants(gens):
