@@ -123,10 +123,16 @@ class NumericalSemigroup:
         self.frobenius: int = max(self._apery) - m
         # Selmer's formula: class r holds (w - r) / m gaps below its Apery element w
         self.genus: int = (sum(self._apery) - m * (m - 1) // 2) // m
-        # n = a + b with a, b nonzero members iff n - g is a member for a smaller generator g
-        self.minimal_generators: tuple[int, ...] = tuple(
-            n for i, n in enumerate(unique) if not any(self.contains(n - g) for g in unique[:i])
-        )
+        # m is minimal.  Any other n with n != Ap[n mod m] is m + (n - m), two
+        # nonzero members.  An Apery element n is minimal iff n - g is a member
+        # for no smaller minimal generator g (a smaller non-minimal one would
+        # split into a minimal g and a member, so it adds no case).
+        ap = self._apery
+        mins = [m]
+        for n in unique[1:]:
+            if n == ap[n % m] and not any(self.contains(n - g) for g in mins):
+                mins.append(n)
+        self.minimal_generators: tuple[int, ...] = tuple(mins)
 
     @property
     def conductor(self) -> int:

@@ -35,7 +35,7 @@ class GasParams:
 
     Requires n0, s, d >= 1, p >= 2, and gcd(n0, d) = 1 (otherwise the
     sequence does not generate a numerical semigroup).  Whether the sequence
-    is a *minimal* generating set is checked by gas_semigroup.
+    is a *minimal* generating set is ``is_minimal_sequence``.
     """
 
     n0: int
@@ -67,16 +67,33 @@ class GasParams:
     def n_p(self) -> int:
         return self.s * self.n0 + self.p * self.d
 
+    @property
+    def is_minimal_sequence(self) -> bool:
+        """True iff the sequence is a minimal generating set, that is iff p < n0 (Matthews 2004).
+
+        If p >= n0, the term s*n0 + n0*d equals (s + d)*n0, a multiple of n0.
+        If p < n0, n0 is the least term, hence minimal.  Any other way of
+        writing a term s*n0 + i*d as c*n0 plus t terms s*n0 + i_j*d gives
+        (i - sum i_j)*d = ((t - 1)*s + c)*n0.  Apart from the term itself
+        (t = 1, c = 0), the right side is positive (for t = 0 the left side
+        is i*d > 0).  As gcd(n0, d) = 1, n0 divides i - sum i_j > 0, so
+        i >= n0 > p, which no term has.
+        """
+        return self.p < self.n0
+
 
 def gas_semigroup(params: GasParams) -> NumericalSemigroup:
-    """Semigroup of the sequence; rejects sequences that are not minimal generating sets."""
-    sg = NumericalSemigroup(params.sequence)
-    if sg.minimal_generators != params.sequence:
+    """Semigroup of the sequence; rejects sequences that are not minimal generating sets.
+
+    The refusal is decided by ``params.is_minimal_sequence`` before the
+    sequence is built, so a huge p costs nothing.
+    """
+    if not params.is_minimal_sequence:
         raise NotMinimalSequenceError(
-            f"{params.sequence} is not a minimal generating set "
-            f"(minimal: {sg.minimal_generators})"
+            f"GAS with n0={params.n0}, p={params.p} is not a minimal generating set: "
+            f"p >= n0 makes s*n0 + n0*d a multiple of n0"
         )
-    return sg
+    return NumericalSemigroup(params.sequence)
 
 
 def gas_pf_closed(params: GasParams, variant: str = CORRECTED) -> list[int]:

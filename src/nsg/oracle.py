@@ -16,8 +16,9 @@ one report per instance.  An iff claim passes when the closed form equals
 the oracle's answer; prop-4.3 and thm-5.4 are one-way soundness checks,
 which pass unless the closed form contradicts the oracle.  Mismatches are
 findings to surface, never to patch away.  The checks read the oracle
-through a process-wide memo, one answer per distinct semigroup; direct
-``naive_*`` calls stay uncached.
+through a process-wide memo, one answer per distinct semigroup.  Its answers
+are immutable, with PF as a tuple, so a lookup hands out the stored answer
+with no copy; direct ``naive_*`` calls stay uncached and return PF lists.
 """
 
 from __future__ import annotations
@@ -123,11 +124,15 @@ def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
     return list(map("1".__eq__, bin(bits)[:1:-1].ljust(cells, "0")))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NaiveStats:
-    """Definitional F, PF and reduced type, read off one membership window."""
+    """Definitional F, PF and reduced type, read off one membership window.
 
-    pf: list[int]
+    ``pf`` is a list in what the ``naive_*`` calls return and a tuple in the
+    verify memo's answers, which are therefore immutable.
+    """
+
+    pf: Sequence[int]
     reduced_type: int
     frobenius: int
 
@@ -383,7 +388,15 @@ def _cap(frobenius_estimate: int, what: str) -> None:
 
 @lru_cache(maxsize=8)
 def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """The valid (n0, s, d, p) under ``bounds``, built once per process per bounds."""
+    """The valid (n0, s, d, p) under ``bounds``, built once per process per bounds.
+
+    Every candidate passes the Frobenius cap first.  Minimality is decided by
+    arithmetic, with no semigroup built: n0, s*n0 + d, ..., s*n0 + p*d with
+    gcd(n0, d) = 1 is a minimal generating set iff p < n0.  For p >= n0 the
+    term s*n0 + n0*d is (s + d)*n0; for p < n0, any other way of writing
+    s*n0 + i*d forces (i - sum i_j)*d = ((t - 1)*s + c)*n0 > 0, so n0 divides
+    i - sum i_j and i >= n0 (see ``GasParams.is_minimal_sequence``).
+    """
     n0_max, s_max, d_max, p_max = bounds
     out = []
     for n0 in range(3, n0_max + 1):
@@ -394,11 +407,8 @@ def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...
                 for p in range(2, p_max + 1):
                     params = fam.GasParams(n0, s, d, p)
                     _cap(fam.gas_frobenius_closed(params), f"gas{(n0, s, d, p)}")
-                    try:
-                        fam.gas_semigroup(params)
-                    except SemigroupError:
-                        continue
-                    out.append((n0, s, d, p))
+                    if params.is_minimal_sequence:
+                        out.append((n0, s, d, p))
     return tuple(out)
 
 
@@ -579,22 +589,28 @@ def _dup_uniform_instances(grid: dict) -> list[dict]:
 # Several claims ask about the same semigroup (each GAS tuple five times, the
 # duplication triples up to four times), so the checks read the oracle through
 # these caches.  They hold NaiveStats only, never tables; errors are not
-# cached; each lookup hands out its own PF list.  The size covers the full
+# cached.  A stored answer is immutable (frozen, with PF as a tuple), so every
+# lookup hands out the stored object itself, and a check that reports PF
+# hands the judge its own ``list(stats.pf)``.  The size covers the full
 # grid's 2,450 semigroups and 186 duplications with room to spare.
 
 _MEMO_SIZE = 4096
 
 
+def _immutable(stats: NaiveStats) -> NaiveStats:
+    return replace(stats, pf=tuple(stats.pf))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _memo_stats(gens: tuple[int, ...]) -> NaiveStats:
-    return naive_stats(gens)
+    return _immutable(naive_stats(gens))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _memo_dup_stats(
     s_gens: tuple[int, ...], e_gens: tuple[int, ...], d: int
 ) -> NaiveStats:
-    return naive_duplication_stats(s_gens, e_gens, d)
+    return _immutable(naive_duplication_stats(s_gens, e_gens, d))
 
 
 def _canon(gens: Iterable[int]) -> tuple[int, ...]:
@@ -602,15 +618,13 @@ def _canon(gens: Iterable[int]) -> tuple[int, ...]:
 
 
 def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
-    """``naive_stats(gens)``, computed once per distinct generator set."""
-    stats = _memo_stats(_canon(gens))
-    return replace(stats, pf=list(stats.pf))
+    """``naive_stats(gens)`` with PF as a tuple, computed once per distinct generator set."""
+    return _memo_stats(_canon(gens))
 
 
 def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
-    """``naive_duplication_stats(s_gens, e_gens, d)``, computed once per distinct triple."""
-    stats = _memo_dup_stats(_canon(s_gens), _canon(e_gens), d)
-    return replace(stats, pf=list(stats.pf))
+    """``naive_duplication_stats(s_gens, e_gens, d)`` with PF as a tuple, once per distinct triple."""
+    return _memo_dup_stats(_canon(s_gens), _canon(e_gens), d)
 
 
 def clear_memo() -> None:
@@ -635,7 +649,7 @@ def _check_thm_3_1(inst: dict) -> Check:
     return (
         f"thm-3.1/b={params.b}/variant={inst['variant']}",
         [fam.gas_pf_closed(params, inst["variant"])],
-        [_oracle_stats(params.sequence).pf],
+        [list(_oracle_stats(params.sequence).pf)],
     )
 
 
@@ -668,7 +682,7 @@ def _bresinsky_gens(inst: dict) -> tuple[int, ...]:
 def _check_prop_3_5(inst: dict) -> Check:
     n, r = inst["n"], inst["r"]
     closed = [fam.backelin_pf_closed(n, r), fam.backelin_frobenius_closed(n, r)]
-    got = _oracle_stats(_backelin_gens(inst)).pf
+    got = list(_oracle_stats(_backelin_gens(inst)).pf)
     return "prop-3.5", closed, [got, max(got)]
 
 
@@ -682,7 +696,7 @@ def _check_never_extremal(
 def _check_thm_3_8(inst: dict) -> Check:
     h = inst["h"]
     closed = [fam.bresinsky_pf_closed(h), 4 * h - 3]
-    got = _oracle_stats(_bresinsky_gens(inst)).pf
+    got = list(_oracle_stats(_bresinsky_gens(inst)).pf)
     return "thm-3.8", closed, [got, len(got)]
 
 
@@ -707,7 +721,7 @@ def _check_cor_4_2(inst: dict) -> Check:
         cons.gluing_frobenius_closed(spec),
     ]
     stats = _oracle_stats(_glued_gens(spec))
-    return "cor-4.2", closed, [stats.pf, stats.cm_type, stats.frobenius]
+    return "cor-4.2", closed, [list(stats.pf), stats.cm_type, stats.frobenius]
 
 
 def _check_prop_4_3(inst: dict) -> Check:
@@ -748,7 +762,8 @@ def _check_thm_5_2(inst: dict) -> Check:
         2 * spec.e.tilde.frobenius + spec.d,
     ]
     stats = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"])
-    return f"thm-5.2/{_KIND_TAG[spec.e_kind]}", closed, [stats.pf, stats.cm_type, stats.frobenius]
+    got = [list(stats.pf), stats.cm_type, stats.frobenius]
+    return f"thm-5.2/{_KIND_TAG[spec.e_kind]}", closed, got
 
 
 def _check_thm_5_4(inst: dict) -> Check:
@@ -769,13 +784,13 @@ def _check_dup_maximal(claim: str, star: bool, inst: dict) -> Check:
 def _check_remark_5_3(inst: dict) -> Check:
     r = inst["r"]
     stats = _oracle_stats(list(range(r + 1, 2 * r + 2)))
-    return "remark-5.3", [fam.uniform_type_pf_closed(r), True], [stats.pf, stats.is_maximal]
+    return "remark-5.3", [fam.uniform_type_pf_closed(r), True], [list(stats.pf), stats.is_maximal]
 
 
 def _check_remark_5_5(inst: dict) -> Check:
     r = inst["r"]
     stats = _oracle_stats([r + 1 + i * (r + 2) for i in range(r + 1)])
-    return "remark-5.5", [fam.staircase_pf_closed(r), True], [stats.pf, stats.is_minimal]
+    return "remark-5.5", [fam.staircase_pf_closed(r), True], [list(stats.pf), stats.is_minimal]
 
 
 def _check_remark_5_8(inst: dict) -> Check:

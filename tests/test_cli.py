@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 from conftest import run_cli
 
@@ -86,6 +87,18 @@ def test_family_gas_b3_branch():
     assert rec["pf"] == rec["pf_closed_form"]  # closed form vs full analysis
     assert rec["minimal_closed_form"] == {"AsStated": True, "AsProof": True}
     assert rec["extremality"] == "minimal"
+
+
+def test_family_gas_with_p_past_n0_exits_at_once():
+    # the sequence would have 100,001 terms; p >= n0 is refused before it is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli("family", "gas", "--n0", "3", "--s", "1", "--d", "1", "--p", "100000")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NotMinimalSequenceError: ")
+    assert "n0=3, p=100000" in err
+    assert len(err) < 200
 
 
 def test_family_invalid_params_exit_1():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -61,6 +62,24 @@ def test_table_limit_guard():
     s = NumericalSemigroup([2, m])
     with pytest.raises(TableLimitError):
         s.apery_set(m)
+
+
+def test_many_supplied_generators_outside_the_apery_set_build_fast():
+    # each of the 19,998 generators past 5 fails the O(1) test n == Ap[n mod m]
+    gens = [3] + list(range(4, 20004))
+    t0 = time.perf_counter()
+    s = NumericalSemigroup(gens)
+    elapsed = time.perf_counter() - t0
+    assert s.minimal_generators == (3, 4, 5)
+    assert s.generators == tuple(gens)
+    assert elapsed < 0.25
+
+
+def test_minimal_generators_scan_only_apery_elements():
+    # 12, 13 and 20 lie above their Apery elements; 14 = 7 + 7 is one but splits
+    assert NumericalSemigroup([6, 12, 9, 7, 13, 20]).minimal_generators == (6, 7, 9)
+    assert NumericalSemigroup([5, 7, 14, 8]).minimal_generators == (5, 7, 8)
+    assert NumericalSemigroup([5, 7, 14, 16]).minimal_generators == (5, 7, 16)
 
 
 def test_huge_frobenius_small_multiplicity():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import nsg.families as fam
@@ -6,6 +8,7 @@ from nsg.core import (
     GcdNotOneError,
     InvalidParamError,
     NotMinimalSequenceError,
+    NumericalSemigroup,
 )
 from nsg.oracle import naive_pf
 
@@ -40,6 +43,32 @@ def test_gas_semigroup_rejects_non_minimal():
     # 2, 2s+d, 2s+2d: the last term is even, hence redundant over <2, ...>
     with pytest.raises(NotMinimalSequenceError):
         fam.gas_semigroup(fam.GasParams(2, 1, 1, 2))
+
+
+def test_gas_minimal_sequence_predicate_matches_the_core():
+    # p < n0 exactly when the core keeps every term as a minimal generator
+    checked = 0
+    for n0 in range(1, 21):
+        for s in range(1, 4):
+            for d in range(1, 22):
+                if math.gcd(n0, d) != 1:
+                    continue
+                for p in range(2, 10):
+                    params = fam.GasParams(n0, s, d, p)
+                    seq = params.sequence
+                    minimal = NumericalSemigroup(seq).minimal_generators == seq
+                    assert params.is_minimal_sequence == minimal, params
+                    checked += 1
+    assert checked == 6408
+
+
+def test_gas_semigroup_refuses_p_ge_n0_without_building_the_sequence():
+    # a sequence of 10**12 terms would never finish; the refusal is arithmetic
+    params = fam.GasParams(3, 1, 1, 10**12)
+    with pytest.raises(NotMinimalSequenceError) as info:
+        fam.gas_semigroup(params)
+    assert "n0=3, p=1000000000000" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 def test_gas_pf_closed_b1():

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import math
@@ -205,15 +206,29 @@ def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
 
 def test_memo_hands_out_fresh_pf_lists(monkeypatch):
     monkeypatch.setenv("NSG_THREADS", "1")
-    for claim in ("thm-3.1", "prop-3.5", "cor-4.2", "thm-5.2"):
+    # a report's oracle PF is its own list: mutating it leaves later runs alone
+    claims = ("thm-3.1", "prop-3.5", "thm-3.8", "cor-4.2", "thm-5.2", "remark-5.3", "remark-5.5")
+    for claim in claims:
         first = [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})]
         for rep in verify_claim(claim, {"preset": "smoke"}):
             rep.oracle[0].append(-7)
         assert [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})] == first
-    oracle._oracle_stats([3, 4, 5]).pf.clear()
-    assert oracle._oracle_stats([5, 4, 3]).pf == naive_pf([3, 4, 5])
-    oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11).pf.clear()
-    assert oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11).pf == [2, 4, 15, 17, 19]
+    # a cached answer cannot be changed: it is frozen and its PF is a tuple
+    for stats, again, pf in (
+        (oracle._oracle_stats([3, 4, 5]), oracle._oracle_stats([5, 4, 3]), naive_pf([3, 4, 5])),
+        (
+            oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11),
+            oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11),
+            [2, 4, 15, 17, 19],
+        ),
+    ):
+        assert again is stats
+        assert isinstance(stats.pf, tuple)
+        with pytest.raises(AttributeError):
+            stats.pf.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.pf = []
+        assert list(again.pf) == pf
 
 
 def test_memo_is_bounded():
@@ -237,6 +252,23 @@ def test_memo_does_not_cache_errors(monkeypatch):
     assert oracle._memo_stats.cache_info().currsize == 0
     assert oracle._memo_dup_stats.cache_info().currsize == 0
     assert oracle._gas_tuples.cache_info().currsize == 0
+
+
+def test_gas_grid_builds_no_semigroup(monkeypatch):
+    # minimality of each candidate tuple is decided by p < n0, not by a core build
+    builds = []
+    init = NumericalSemigroup.__init__
+
+    def counting_init(self, gens):
+        builds.append(gens)
+        init(self, gens)
+
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counting_init)
+    oracle._gas_tuples.cache_clear()
+    instances = oracle.claim_instances("thm-3.1", {"preset": "full"})
+    assert len(instances) == 2 * 2187
+    assert builds == []
+    assert all(inst["p"] < inst["n0"] for inst in instances)
 
 
 def test_gas_grid_hands_out_fresh_instances():
@@ -387,7 +419,7 @@ def test_adjudication_thm_3_1():
 
 def _lie(stats):
     """A wrong oracle answer: one PF element too many, F one higher, maximality flipped."""
-    pf = stats.pf + [stats.frobenius + 1]
+    pf = list(stats.pf) + [stats.frobenius + 1]
     return oracle.NaiveStats(
         pf=pf, reduced_type=1 if stats.is_maximal else len(pf), frobenius=stats.frobenius + 1
     )
