@@ -180,34 +180,35 @@ def _cmd_verify(args) -> int:
     oracle.check_claim(args.claim)
     oracle.check_threads()
     claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
-    plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]
+    with oracle.verify_run():
+        plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        all_pass = True
-        for claim_id, instances in plan:
-            reports = []
-            for inst in instances:
-                rep = oracle.run_instance(claim_id, inst)
-                print(rep.json_line(), file=out)
-                reports.append(rep)
-            matched = sum(r.match for r in reports)
-            print(
-                f"{claim_id}: {matched}/{len(reports)} matched", file=sys.stderr
-            )
-            verdict = oracle.adjudicate(claim_id, reports)
-            if verdict is not None:
-                rates = ", ".join(f"{k} {v}" for k, v in verdict["rates"].items())
-                name = verdict["decided"] or "UNDECIDED"
+        out = open(args.out, "w") if args.out else sys.stdout
+        try:
+            all_pass = True
+            for claim_id, instances in plan:
+                reports = []
+                for inst in instances:
+                    rep = oracle.run_instance(claim_id, inst)
+                    print(rep.json_line(), file=out)
+                    reports.append(rep)
+                matched = sum(r.match for r in reports)
                 print(
-                    f"{claim_id}: adjudication over {verdict['key']}: {rates} -> {name}",
-                    file=sys.stderr,
+                    f"{claim_id}: {matched}/{len(reports)} matched", file=sys.stderr
                 )
-            if not oracle.claim_passes(claim_id, reports):
-                all_pass = False
-    finally:
-        if args.out:
-            out.close()
+                verdict = oracle.adjudicate(claim_id, reports)
+                if verdict is not None:
+                    rates = ", ".join(f"{k} {v}" for k, v in verdict["rates"].items())
+                    name = verdict["decided"] or "UNDECIDED"
+                    print(
+                        f"{claim_id}: adjudication over {verdict['key']}: {rates} -> {name}",
+                        file=sys.stderr,
+                    )
+                if not oracle.claim_passes(claim_id, reports):
+                    all_pass = False
+        finally:
+            if args.out:
+                out.close()
     return 0 if all_pass else 2
 
 
@@ -255,7 +256,9 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
                 for d in args.d_range:
                     if math.gcd(n0, d) != 1:
                         continue
-                    for p in args.p_range:
+                    for p in args.p_range:  # ascending: --p-range has a positive step
+                        if p >= n0:
+                            break  # gas_semigroup refuses this p and every larger one
                         try:
                             sg = fam.gas_semigroup(fam.GasParams(n0, s, d, p))
                         except SemigroupError:

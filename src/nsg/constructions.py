@@ -278,8 +278,8 @@ class SemigroupIdeal:
 
     @cached_property
     def tilde(self) -> NumericalSemigroup:
-        """E together with 0, as a numerical semigroup."""
-        if self.kind is IdealKind.FULL:
+        """E together with 0, as a numerical semigroup (S itself when E is S or S*)."""
+        if self.kind is not IdealKind.PROPER:
             return self.ambient
         # generated by its Apery set mod e = min E, with e itself in class 0
         return NumericalSemigroup(

@@ -264,6 +264,13 @@ def _apery(gens: Iterable[int], n: int) -> list[int]:
     return dist
 
 
+_NATURALS = NumericalSemigroup([1])
+
+
 def naturals() -> NumericalSemigroup:
-    """The semigroup of all nonnegative integers (Frobenius -1, PF = {-1})."""
-    return NumericalSemigroup([1])
+    """The semigroup of all nonnegative integers (Frobenius -1, PF = {-1}).
+
+    Every call returns the same object, which is immutable like every
+    ``NumericalSemigroup``, so a nice extension builds no semigroup for N.
+    """
+    return _NATURALS

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from .core import (
     GcdNotOneError,
     InvalidParamError,
+    TABLE_LIMIT,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    TableLimitError,
 )
 
 # Variant / mode tokens for the two statements whose published text is
@@ -267,10 +269,23 @@ def backelin_frobenius_closed(n: int, r: int) -> int:
     return (r - n + 1) * ps.n1 + n * ps.n2 + ps.n3 - ps.n4
 
 
-def uniform_type_family(r: int) -> NumericalSemigroup:
-    """<r+1, r+2, ..., 2r+1>: PF = {1..r}, type r, maximal reduced type."""
+def _check_r(r: int) -> None:
+    """Refuse an r outside both r-indexed families before any generator exists.
+
+    Both have multiplicity r + 1, so an r + 1 past ``TABLE_LIMIT`` is refused
+    by arithmetic, with a message that prints no sequence.
+    """
     if r < 1:
         raise InvalidParamError(f"r must be >= 1, got {r}")
+    if r + 1 > TABLE_LIMIT:
+        raise TableLimitError(
+            f"r = {r}: an Apery set mod the multiplicity r + 1 exceeds {TABLE_LIMIT} residues"
+        )
+
+
+def uniform_type_family(r: int) -> NumericalSemigroup:
+    """<r+1, r+2, ..., 2r+1>: PF = {1..r}, type r, maximal reduced type."""
+    _check_r(r)
     return NumericalSemigroup(range(r + 1, 2 * r + 2))
 
 
@@ -280,8 +295,7 @@ def uniform_type_pf_closed(r: int) -> list[int]:
 
 def staircase_min_type_family(r: int) -> NumericalSemigroup:
     """<r+1, r+1+(r+2), ..., r+1+r(r+2)>: PF = {(r+2), 2(r+2), ..., r(r+2)}, minimal reduced type."""
-    if r < 1:
-        raise InvalidParamError(f"r must be >= 1, got {r}")
+    _check_r(r)
     return NumericalSemigroup(r + 1 + i * (r + 2) for i in range(r + 1))
 
 

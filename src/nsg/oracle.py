@@ -15,10 +15,14 @@ oracle's answer.  ``run_instance`` times the check, judges it and builds the
 one report per instance.  An iff claim passes when the closed form equals
 the oracle's answer; prop-4.3 and thm-5.4 are one-way soundness checks,
 which pass unless the closed form contradicts the oracle.  Mismatches are
-findings to surface, never to patch away.  The checks read the oracle
-through a process-wide memo, one answer per distinct semigroup.  Its answers
-are immutable, with PF as a tuple, so a lookup hands out the stored answer
-with no copy; direct ``naive_*`` calls stay uncached and return PF lists.
+findings to surface, never to patch away.  One verify run (``verify_run``)
+keeps one memo of what it asks more than once: an oracle answer per distinct
+semigroup and per distinct duplication, and on the closed-form side a core
+semigroup per generator tuple, an ideal per (generators, ideal generators)
+and a GAS instance per (n0, s, d, p).  The memo is dropped when the run ends.
+Its oracle answers are immutable, with PF as a tuple, so a lookup hands out
+the stored answer with no copy.  Outside a run the checks compute afresh, and
+direct ``naive_*`` calls are never cached and return PF lists.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py swaps this name
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import constructions as cons
 from . import families as fam
@@ -44,6 +49,9 @@ from .core import (
     ZeroGeneratorError,
     EmptyGeneratorsError,
 )
+
+
+T = TypeVar("T")
 
 
 class UnknownClaimError(SemigroupError):
@@ -277,6 +285,10 @@ def naive_duplication_stats(
 # Verification reports
 
 
+# one encoder for every report line, with json.dumps's default settings
+_encode_json = json.JSONEncoder().encode
+
+
 @dataclass
 class VerificationReport:
     claim: str
@@ -287,7 +299,7 @@ class VerificationReport:
     elapsed: float = field(default=0.0, compare=False)
 
     def json_line(self) -> str:
-        return json.dumps(
+        return _encode_json(
             {
                 "claim": self.claim,
                 "instance": self.instance,
@@ -333,6 +345,103 @@ def claim_passes(claim_id: str, reports: list[VerificationReport]) -> bool:
     if verdict is not None:
         return verdict["decided"] is not None
     return all(rep.match for rep in reports)
+
+
+# ---------------------------------------------------------------------------
+# Run memo: each question a verify run asks more than once, answered once
+#
+# Several claims ask the same questions: each GAS tuple is checked five
+# times, the duplication triples up to four times, and the construction
+# claims build the same few pool semigroups, ideals and tildes on every
+# instance.  So a verify run keeps one plain dict, opened by ``verify_run``
+# and dropped when the run ends; it holds one entry per distinct question of
+# the run's plan, which the grid caps bound.  Outside a run every accessor
+# computes afresh.  Keys are tagged tuples, and every value is a pure function
+# of its key and immutable where it is shared: oracle answers are frozen with
+# PF as a tuple (a check that reports PF hands the judge its own
+# ``list(stats.pf)``), core semigroups and GAS parameters are immutable, and an
+# ideal only caches what it derives.  A value is stored once its builder
+# returns, so an error is never stored.  The oracle answers and the core
+# objects share this dict but no code path.  The slot is module-level because
+# verify runs in one thread; a concurrent caller can lose hits, never get a
+# wrong answer.
+
+_run_memo: dict | None = None
+
+
+@contextmanager
+def verify_run() -> Iterator[dict]:
+    """Open the memo of one verify run; inside an open run, reuse that one."""
+    global _run_memo
+    if _run_memo is not None:
+        yield _run_memo
+        return
+    _run_memo = {}
+    try:
+        yield _run_memo
+    finally:
+        _run_memo = None
+
+
+def _recall(key: tuple, build: Callable[[], T]) -> T:
+    """``build()``, kept under ``key`` for the rest of the open run, if any."""
+    memo = _run_memo
+    if memo is None:
+        return build()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
+def _canon(gens: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(gens)))
+
+
+def _frozen(stats: NaiveStats) -> NaiveStats:
+    return NaiveStats(tuple(stats.pf), stats.reduced_type, stats.frobenius)
+
+
+def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
+    """``naive_stats(gens)`` with PF as a tuple, once per distinct generator set in a run."""
+    key = _canon(gens)
+    return _recall(("stats", key), lambda: _frozen(naive_stats(key)))
+
+
+def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
+    """``naive_duplication_stats(s_gens, e_gens, d)`` with PF as a tuple, once per distinct triple in a run."""
+    s_key, e_key = _canon(s_gens), _canon(e_gens)
+    return _recall(
+        ("dup", s_key, e_key, d), lambda: _frozen(naive_duplication_stats(s_key, e_key, d))
+    )
+
+
+def _semigroup(gens: Sequence[int]) -> NumericalSemigroup:
+    """The core semigroup of ``gens``, built once per generator tuple in a run."""
+    key = tuple(gens)
+    return _recall(("semigroup", key), lambda: NumericalSemigroup(key))
+
+
+def _ideal(gens: Sequence[int], ideal: Sequence[int]) -> cons.SemigroupIdeal:
+    """The ideal ``ideal`` + S of S = <gens>, once per pair in a run, so its ``tilde`` is shared."""
+    key = ("ideal", tuple(gens), tuple(ideal))
+    return _recall(key, lambda: cons.SemigroupIdeal(_semigroup(gens), ideal))
+
+
+def _gas(inst: dict) -> tuple[fam.GasParams, NaiveStats]:
+    """A GAS instance's parameters and oracle answer, once per (n0, s, d, p) in a run."""
+    key = ("gas", inst["n0"], inst["s"], inst["d"], inst["p"])
+
+    def build() -> tuple[fam.GasParams, NaiveStats]:
+        params = fam.GasParams(*key[1:])
+        return params, _oracle_stats(params.sequence)
+
+    return _recall(key, build)
+
+
+def clear_memo() -> None:
+    """Forget the cached GAS grids (a run's memo ends with the run)."""
+    _gas_tuples.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +559,7 @@ def _nongen_members(s: NumericalSemigroup, k: int) -> list[int]:
 
 
 def _gluing_instances(grid: dict) -> list[dict]:
-    pool = [NumericalSemigroup(g) for g in _GLUE_POOL[: grid["glue_pool"]]]
+    pool = [_semigroup(g) for g in _GLUE_POOL[: grid["glue_pool"]]]
     per = grid["glue_per"]
     out = []
     for s1 in pool:
@@ -480,7 +589,7 @@ _NICE_POOL: list[list[int]] = [[2, 3], [3, 4, 5], [3, 7, 11], [5, 6, 7]]
 def _nice_ext_instances(grid: dict) -> list[dict]:
     out = []
     for gens in _NICE_POOL[: max(3, grid["glue_pool"] - 2)]:
-        s = NumericalSemigroup(gens)
+        s = _semigroup(gens)
         # larger targets admit more representations, hence more valid p
         for target in _nongen_members(s, 3 * grid["glue_per"]):
             coeffs = cons.max_coeff_representation(s.minimal_generators, target)
@@ -526,7 +635,7 @@ def _dup_ds(s: NumericalSemigroup, k: int) -> list[int]:
 def _dup_instances(grid: dict) -> list[dict]:
     out = []
     for gens, ideals in _DUP_POOL:
-        s = NumericalSemigroup(gens)
+        s = _semigroup(gens)
         ds = _dup_ds(s, grid["dup_d"])
         for ideal in ideals:
             e_gens = list(s.minimal_generators) if ideal == "star" else ideal
@@ -539,7 +648,7 @@ def _dup_instances(grid: dict) -> list[dict]:
 def _dup_self_instances(grid: dict) -> list[dict]:
     out = []
     for gens, _ in _DUP_POOL:
-        s = NumericalSemigroup(gens)
+        s = _semigroup(gens)
         for d in _dup_ds(s, grid["dup_d"]):
             out.append({"gens": list(gens), "d": d})
     return out
@@ -572,66 +681,11 @@ def _r_instances(what: str, frobenius_of: Callable[[int], int], grid: dict) -> l
 
 def _dup_uniform_instances(grid: dict) -> list[dict]:
     rs = range(2, max(3, grid["r_max"] - 2) + 1)
-    # S = <r+1, ..., 2r+1> holds every x > r, so d runs over 2r+3, 2r+5, 2r+7;
+    # S = <r+1, ..., 2r+1> holds every x > r, so its first three odd members
+    # past 2m = 2r + 2 are 2r+3, 2r+5, 2r+7, found with no semigroup built;
     # each duplication has r + 2 generators, F = 2r + d and m = 2r + 2
     _cap_work("uniform-type duplication", lambda r: 3 * (r + 2) * (6 * r + 7), rs)
-    out = []
-    for r in rs:
-        s = fam.uniform_type_family(r)
-        for d in _odd_members(s, 3, lo=2 * s.multiplicity + 1):
-            out.append({"r": r, "d": d})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Harness memo: one oracle answer per distinct semigroup per process
-#
-# Several claims ask about the same semigroup (each GAS tuple five times, the
-# duplication triples up to four times), so the checks read the oracle through
-# these caches.  They hold NaiveStats only, never tables; errors are not
-# cached.  A stored answer is immutable (frozen, with PF as a tuple), so every
-# lookup hands out the stored object itself, and a check that reports PF
-# hands the judge its own ``list(stats.pf)``.  The size covers the full
-# grid's 2,450 semigroups and 186 duplications with room to spare.
-
-_MEMO_SIZE = 4096
-
-
-def _immutable(stats: NaiveStats) -> NaiveStats:
-    return replace(stats, pf=tuple(stats.pf))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _memo_stats(gens: tuple[int, ...]) -> NaiveStats:
-    return _immutable(naive_stats(gens))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _memo_dup_stats(
-    s_gens: tuple[int, ...], e_gens: tuple[int, ...], d: int
-) -> NaiveStats:
-    return _immutable(naive_duplication_stats(s_gens, e_gens, d))
-
-
-def _canon(gens: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(gens)))
-
-
-def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
-    """``naive_stats(gens)`` with PF as a tuple, computed once per distinct generator set."""
-    return _memo_stats(_canon(gens))
-
-
-def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
-    """``naive_duplication_stats(s_gens, e_gens, d)`` with PF as a tuple, once per distinct triple."""
-    return _memo_dup_stats(_canon(s_gens), _canon(e_gens), d)
-
-
-def clear_memo() -> None:
-    """Forget every memoised oracle answer and GAS grid."""
-    _memo_stats.cache_clear()
-    _memo_dup_stats.cache_clear()
-    _gas_tuples.cache_clear()
+    return [{"r": r, "d": d} for r in rs for d in (2 * r + 3, 2 * r + 5, 2 * r + 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -640,34 +694,30 @@ def clear_memo() -> None:
 Check = tuple[str, list, list]
 
 
-def _gas_params(inst: dict) -> fam.GasParams:
-    return fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"])
-
-
 def _check_thm_3_1(inst: dict) -> Check:
-    params = _gas_params(inst)
+    params, stats = _gas(inst)
     return (
         f"thm-3.1/b={params.b}/variant={inst['variant']}",
         [fam.gas_pf_closed(params, inst["variant"])],
-        [list(_oracle_stats(params.sequence).pf)],
+        [list(stats.pf)],
     )
 
 
 def _check_prop_3_2(inst: dict) -> Check:
-    params = _gas_params(inst)
+    params, stats = _gas(inst)
     return (
         f"prop-3.2/b={params.b}",
         [fam.gas_maximal_predicate(params)],
-        [_oracle_stats(params.sequence).is_maximal],
+        [stats.is_maximal],
     )
 
 
 def _check_prop_3_3(inst: dict) -> Check:
-    params = _gas_params(inst)
+    params, stats = _gas(inst)
     return (
         f"prop-3.3/mode={inst['mode']}",
         [fam.gas_minimal_predicate(params, inst["mode"])],
-        [_oracle_stats(params.sequence).is_minimal],
+        [stats.is_minimal],
     )
 
 
@@ -702,7 +752,7 @@ def _check_thm_3_8(inst: dict) -> Check:
 
 def _gluing_spec(inst: dict) -> cons.GluingSpec:
     return cons.GluingSpec(
-        NumericalSemigroup(inst["s1"]), NumericalSemigroup(inst["s2"]), inst["lambda"], inst["mu"]
+        _semigroup(inst["s1"]), _semigroup(inst["s2"]), inst["lambda"], inst["mu"]
     )
 
 
@@ -734,7 +784,7 @@ def _check_prop_4_3(inst: dict) -> Check:
 
 
 def _check_cor_4_6(inst: dict) -> Check:
-    s = NumericalSemigroup(inst["s"])
+    s = _semigroup(inst["s"])
     spec = cons.nice_extension(s, inst["p"], inst["coeffs"])
     base_max = s.pf_profile().extremality.is_maximal
     ext_gens = sorted([inst["p"] * g for g in s.minimal_generators] + [spec.mu])
@@ -742,9 +792,8 @@ def _check_cor_4_6(inst: dict) -> Check:
 
 
 def _dup_spec(inst: dict) -> cons.DuplicationSpec:
-    s = NumericalSemigroup(inst["gens"])
-    e = cons.SemigroupIdeal(s, inst["ideal"])
-    return cons.DuplicationSpec(s, e, inst["d"])
+    e = _ideal(inst["gens"], inst["ideal"])
+    return cons.DuplicationSpec(e.ambient, e, inst["d"])
 
 
 _KIND_TAG = {
@@ -774,7 +823,7 @@ def _check_thm_5_4(inst: dict) -> Check:
 
 def _check_dup_maximal(claim: str, star: bool, inst: dict) -> Check:
     """prop-5.7 (E = S) and prop-5.9 (E = S*): the maximality iff of the duplication."""
-    s = NumericalSemigroup(inst["gens"])
+    s = _semigroup(inst["gens"])
     closed_form = cons.duplication_max_star if star else cons.duplication_max_self
     closed = closed_form(s, inst["d"])
     e_gens = list(s.minimal_generators) if star else [0]
@@ -905,12 +954,15 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
     """Run one registered claim (or 'all') over its grid; one report per instance.
 
     Instances are enumerated in a fixed order and checked one after another
-    in the calling process, so reports come back in that order.
+    in the calling process, so reports come back in that order.  The call is
+    one verify run (or part of the open one): 'all' shares one memo across
+    its claims, and no memo is held once the call returns.
     """
     check_claim(claim_id)
-    if claim_id == "all":
-        out = []
-        for cid in _CLAIMS:
-            out.extend(verify_claim(cid, grid))
-        return out
-    return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]
+    with verify_run():
+        if claim_id == "all":
+            out = []
+            for cid in _CLAIMS:
+                out.extend(verify_claim(cid, grid))
+            return out
+        return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]

@@ -361,6 +361,25 @@ def test_sweep_gas():
     assert all(int(r["reduced_type"]) <= int(r["type"]) for r in rows)
 
 
+def test_sweep_gas_stops_at_p_past_n0():
+    # every p >= n0 is refused, so a p-range of 10**11 values prints what 2:2 prints
+    t0 = time.perf_counter()
+    head = ("sweep", "gas", "--n0-range", "3:3", "--s-range", "1:1", "--d-range", "1:1")
+    wide = run_cli(*head, "--p-range", "2:100000000000")
+    assert time.perf_counter() - t0 < 0.5
+    assert wide == run_cli(*head, "--p-range", "2:2")
+    assert wide[0] == 0 and wide[1].count("\n") == 2
+
+
+def test_family_with_oversized_r_exits_1():
+    for kind in ("uniform-type", "staircase"):
+        code, out, err = run_cli("family", kind, "--r", "5000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TableLimitError: r = 5000000")
+        assert len(err) < 200
+
+
 def test_sweep_bad_range_syntax():
     code, _, _ = run_cli("sweep", "uniform-type", "--r-range", "1-8")
     assert code == 1

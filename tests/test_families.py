@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from nsg.core import (
     InvalidParamError,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    TableLimitError,
 )
 from nsg.oracle import naive_pf
 
@@ -197,6 +199,25 @@ def test_uniform_type_family():
     assert fam.uniform_type_family(4).pf_set() == [1, 2, 3, 4]
     with pytest.raises(InvalidParamError):
         fam.uniform_type_family(0)
+
+
+def test_oversized_r_is_refused_before_any_generator(monkeypatch):
+    # r + 1 residues past TABLE_LIMIT: refused by arithmetic, at a small peak
+    for family in (fam.uniform_type_family, fam.staircase_min_type_family):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableLimitError) as info:
+                family(5_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(str(info.value)) < 120
+    # the limit is on r + 1 itself
+    monkeypatch.setattr(fam, "TABLE_LIMIT", 6)
+    assert fam.uniform_type_family(5).minimal_generators == (6, 7, 8, 9, 10, 11)
+    with pytest.raises(TableLimitError):
+        fam.staircase_min_type_family(6)
 
 
 def test_staircase_family():

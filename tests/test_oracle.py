@@ -5,6 +5,7 @@ import math
 import multiprocessing.process
 import os
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -187,10 +188,63 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     assert len(reports) > len(stats_keys) + len(dup_keys)
     assert len(closures) == len(stats_keys) + len(dup_keys)
     assert sorted(closures) == sorted(stats_keys + [key[0] for key in dup_keys])
-    # a second run is answered from the memo alone
+    # the memo ends with its run: a second run builds exactly the same closures again
+    first = sorted(closures)
     closures.clear()
     verify_claim("all", {"preset": "smoke"})
-    assert closures == []
+    assert sorted(closures) == first
+
+
+def test_large_gas_grid_closes_each_semigroup_once(monkeypatch):
+    # 6,168 distinct semigroups, more than a memo of 4,096 entries holds, each
+    # asked under both readings: one run closes each of them once
+    closures = []
+    closure = oracle._closure_bits
+
+    def counting(gens, *args):
+        closures.append(tuple(sorted(set(gens))))
+        return closure(gens, *args)
+
+    monkeypatch.setattr(oracle, "_closure_bits", counting)
+    reports = verify_claim("thm-3.1", {"preset": "full", "gas": (24, 3, 25, 8)})
+    assert len(reports) == 2 * 6168
+    assert len(closures) == len(set(closures)) == 6168
+
+
+def test_verify_run_builds_each_core_semigroup_once(monkeypatch):
+    # the construction claims share one semigroup per generator tuple and one
+    # ideal per (generators, ideal generators), so one tilde per ideal; a
+    # tilde may equal a semigroup built elsewhere, so builds count by site
+    builds = []
+    init = NumericalSemigroup.__init__
+
+    def counting_init(self, gens):
+        gens = tuple(gens)
+        builds.append((sys._getframe(1).f_code.co_name == "tilde", gens))
+        init(self, gens)
+
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counting_init)
+    with gzip.open(SMOKE_JSONL, "rt") as fh:
+        golden = fh.read()
+    code, out, _ = run_cli("verify", "all", "--grid", "smoke")
+    assert (code, out) == (0, golden)
+    assert len(set(builds)) == len(builds) > 0
+    assert any(by_tilde for by_tilde, _ in builds)
+
+
+def test_run_instance_outside_a_run_answers_as_inside_one():
+    with gzip.open(SMOKE_JSONL, "rt") as fh:
+        golden = fh.read().splitlines()
+    plan = [
+        (claim, inst)
+        for claim in oracle.registered_claims()
+        for inst in oracle.claim_instances(claim, {"preset": "smoke"})
+    ]
+    with oracle.verify_run():
+        inside = [oracle.run_instance(claim, inst).json_line() for claim, inst in plan]
+    assert oracle._run_memo is None
+    outside = [oracle.run_instance(claim, inst).json_line() for claim, inst in plan]
+    assert outside == inside == golden
 
 
 def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
@@ -214,43 +268,56 @@ def test_memo_hands_out_fresh_pf_lists(monkeypatch):
             rep.oracle[0].append(-7)
         assert [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})] == first
     # a cached answer cannot be changed: it is frozen and its PF is a tuple
-    for stats, again, pf in (
-        (oracle._oracle_stats([3, 4, 5]), oracle._oracle_stats([5, 4, 3]), naive_pf([3, 4, 5])),
-        (
-            oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11),
-            oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11),
-            [2, 4, 15, 17, 19],
-        ),
-    ):
-        assert again is stats
-        assert isinstance(stats.pf, tuple)
-        with pytest.raises(AttributeError):
-            stats.pf.clear()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            stats.pf = []
-        assert list(again.pf) == pf
+    with oracle.verify_run():
+        for stats, again, pf in (
+            (oracle._oracle_stats([3, 4, 5]), oracle._oracle_stats([5, 4, 3]), naive_pf([3, 4, 5])),
+            (
+                oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11),
+                oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11),
+                [2, 4, 15, 17, 19],
+            ),
+        ):
+            assert again is stats
+            assert isinstance(stats.pf, tuple)
+            with pytest.raises(AttributeError):
+                stats.pf.clear()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stats.pf = []
+            assert list(again.pf) == pf
 
 
 def test_memo_is_bounded():
-    for memo in (oracle._memo_stats, oracle._memo_dup_stats, oracle._gas_tuples):
-        assert memo.cache_info().maxsize is not None
-    # the full grid's 2,450 semigroups and 186 duplications all fit
-    assert oracle._memo_stats.cache_info().maxsize >= 2450
-    assert oracle._memo_dup_stats.cache_info().maxsize >= 186
+    # no memo is held once verify_claim returns; the GAS grid cache is bounded
+    assert oracle._gas_tuples.cache_info().maxsize is not None
+    verify_claim("all", {"preset": "smoke"})
+    assert oracle._run_memo is None
+    # inside an open run, verify_claim reuses its memo, which holds one entry
+    # per distinct question: asking the same plan again adds none
+    with oracle.verify_run() as memo:
+        verify_claim("all", {"preset": "smoke"})
+        size = len(memo)
+        assert size > 0
+        with oracle.verify_run() as inner:
+            assert inner is memo
+        verify_claim("all", {"preset": "smoke"})
+        assert oracle._run_memo is memo and len(memo) == size
+    assert oracle._run_memo is None
 
 
 def test_memo_does_not_cache_errors(monkeypatch):
     oracle.clear_memo()
     monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
-    for _ in range(2):
-        with pytest.raises(GridTooLargeError):
-            oracle._oracle_stats([12, 13])
-        with pytest.raises(GridTooLargeError):
-            oracle._oracle_dup_stats([2, 3], [0], 1001)
-        with pytest.raises(GridTooLargeError):
-            oracle._gas_instances({"gas": (16, 3, 17, 7)})
-    assert oracle._memo_stats.cache_info().currsize == 0
-    assert oracle._memo_dup_stats.cache_info().currsize == 0
+    with oracle.verify_run() as memo:
+        for _ in range(2):
+            with pytest.raises(GridTooLargeError):
+                oracle._oracle_stats([12, 13])
+            with pytest.raises(GridTooLargeError):
+                oracle._oracle_dup_stats([2, 3], [0], 1001)
+            with pytest.raises(GridTooLargeError):
+                oracle._gas({"n0": 20, "s": 1, "d": 1, "p": 2})
+            with pytest.raises(GridTooLargeError):
+                oracle._gas_instances({"gas": (16, 3, 17, 7)})
+        assert memo == {}
     assert oracle._gas_tuples.cache_info().currsize == 0
 
 
