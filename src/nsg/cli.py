@@ -12,9 +12,8 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
-from typing import Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import constructions as cons
 from . import families as fam
@@ -88,10 +87,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    family = fam.FAMILIES[args.kind]
+    values = [getattr(args, param) for param in family.params]
+    record = analysis_record(NumericalSemigroup(family.generators(*values)))
     if args.kind == "gas":
-        params = fam.GasParams(args.n0, args.s, args.d, args.p)
-        sg = fam.gas_semigroup(params)
-        record = analysis_record(sg)
+        params = fam.GasParams(*values)
         record["b"] = params.b
         record["pf_closed_form"] = fam.gas_pf_closed(params, args.variant)
         record["pf_closed_form_variant"] = args.variant
@@ -100,22 +100,8 @@ def _cmd_family(args) -> int:
             mode: fam.gas_minimal_predicate(params, mode)
             for mode in fam.GAS_MINIMAL_MODES
         }
-    elif args.kind == "bresinsky":
-        sg = fam.bresinsky_semigroup(args.h)
-        record = analysis_record(sg)
-        record["pf_closed_form"] = fam.bresinsky_pf_closed(args.h)
-    elif args.kind == "backelin":
-        sg = fam.backelin_semigroup(args.n, args.r)
-        record = analysis_record(sg)
-        record["pf_closed_form"] = fam.backelin_pf_closed(args.n, args.r)
-    elif args.kind == "uniform-type":
-        sg = fam.uniform_type_family(args.r)
-        record = analysis_record(sg)
-        record["pf_closed_form"] = fam.uniform_type_pf_closed(args.r)
-    else:  # staircase
-        sg = fam.staircase_min_type_family(args.r)
-        record = analysis_record(sg)
-        record["pf_closed_form"] = fam.staircase_pf_closed(args.r)
+    else:
+        record["pf_closed_form"] = family.pf_closed(*values)
     _emit(record, args.json, sys.stdout)
     return 0
 
@@ -212,6 +198,26 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 2
 
 
+def _walk(
+    ranges: list[range], last_stop: Callable[..., int | None], head: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``ranges`` that starts with ``head``, in lexicographic order, one at a time.
+
+    ``itertools.product`` would copy each range into memory first.  The last
+    range is cut below ``last_stop(*head)`` when that is a bound; ranges
+    ascend, since a range step must be positive.
+    """
+    if len(head) + 1 < len(ranges):
+        for value in ranges[len(head)]:
+            yield from _walk(ranges, last_stop, head + (value,))
+        return
+    last, stop = ranges[-1], last_stop(*head)
+    if stop is not None:
+        last = range(last.start, min(last.stop, stop), last.step)
+    for value in last:
+        yield head + (value,)
+
+
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
     tail = ["frobenius", "type", "reduced_type", "extremality"]
 
@@ -219,63 +225,29 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
         prof = sg.pf_profile()
         return [sg.frobenius, prof.cm_type, prof.reduced_type, prof.extremality.value]
 
-    rows: list[list] = []
-    if args.target == "uniform-type":
-        if args.r_range is None:
-            raise SemigroupError("sweep uniform-type requires --r-range")
-        for r in args.r_range:
-            rows.append([r] + stats(fam.uniform_type_family(r)))
-        return ["r"] + tail, rows
-    if args.target == "staircase":
-        if args.r_range is None:
-            raise SemigroupError("sweep staircase requires --r-range")
-        for r in args.r_range:
-            rows.append([r] + stats(fam.staircase_min_type_family(r)))
-        return ["r"] + tail, rows
-    if args.target == "bresinsky":
-        if args.h_range is None:
-            raise SemigroupError("sweep bresinsky requires --h-range")
-        for h in args.h_range:
-            rows.append([h] + stats(fam.bresinsky_semigroup(h)))
-        return ["h"] + tail, rows
-    if args.target == "backelin":
-        if args.n_range is None or args.r_range is None:
-            raise SemigroupError("sweep backelin requires --n-range and --r-range")
-        for n in args.n_range:
-            for r in args.r_range:
-                if r < 3 * n + 2:
-                    continue
-                rows.append([n, r] + stats(fam.backelin_semigroup(n, r)))
-        return ["n", "r"] + tail, rows
-    if args.target == "gas":
-        for flag in ("n0_range", "s_range", "d_range", "p_range"):
-            if getattr(args, flag) is None:
-                raise SemigroupError("sweep gas requires --n0-range --s-range --d-range --p-range")
-        for n0 in args.n0_range:
-            for s in args.s_range:
-                for d in args.d_range:
-                    if math.gcd(n0, d) != 1:
-                        continue
-                    for p in args.p_range:  # ascending: --p-range has a positive step
-                        if p >= n0:
-                            break  # gas_semigroup refuses this p and every larger one
-                        try:
-                            sg = fam.gas_semigroup(fam.GasParams(n0, s, d, p))
-                        except SemigroupError:
-                            continue
-                        rows.append([n0, s, d, p] + stats(sg))
-        return ["n0", "s", "d", "p"] + tail, rows
-    # dup-self
-    if args.gens is None or args.d_range is None:
-        raise SemigroupError("sweep dup-self requires --gens and --d-range")
-    s = NumericalSemigroup(args.gens)
-    gens_label = ";".join(str(g) for g in s.minimal_generators)
-    for d in args.d_range:
-        if d % 2 == 0 or not s.contains(d):
-            continue  # outside the construction's domain
-        spec = cons.DuplicationSpec(s, cons.ideal_full(s), d)
-        rows.append([gens_label, d] + stats(cons.duplicate(spec)))
-    return ["gens", "d"] + tail, rows
+    if args.target == "dup-self":
+        if args.gens is None or args.d_range is None:
+            raise SemigroupError("sweep dup-self requires --gens and --d-range")
+        s = NumericalSemigroup(args.gens)
+        gens_label = ";".join(str(g) for g in s.minimal_generators)
+        rows = []
+        for d in args.d_range:
+            if d % 2 == 0 or not s.contains(d):
+                continue  # outside the construction's domain
+            spec = cons.DuplicationSpec(s, cons.ideal_full(s), d)
+            rows.append([gens_label, d] + stats(cons.duplicate(spec)))
+        return ["gens", "d"] + tail, rows
+    family = fam.FAMILIES[args.target]
+    ranges = [getattr(args, f"{param}_range") for param in family.params]
+    if None in ranges:
+        flags = " ".join(f"--{param}-range" for param in family.params)
+        raise SemigroupError(f"sweep {args.target} requires {flags}")
+    rows = [
+        list(values) + stats(NumericalSemigroup(family.generators(*values)))
+        for values in _walk(ranges, family.last_stop)
+        if family.in_domain(*values)
+    ]
+    return list(family.params) + tail, rows
 
 
 def _cmd_sweep(args) -> int:
@@ -304,22 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="named families with closed-form PF sets")
     fsub = p.add_subparsers(dest="kind", required=True)
-    g = fsub.add_parser("gas")
-    g.add_argument("--n0", type=int, required=True)
-    g.add_argument("--s", type=int, required=True)
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--variant", choices=fam.GAS_PF_VARIANTS, default=fam.CORRECTED)
-    b = fsub.add_parser("bresinsky")
-    b.add_argument("--h", type=int, required=True)
-    k = fsub.add_parser("backelin")
-    k.add_argument("--n", type=int, required=True)
-    k.add_argument("--r", type=int, required=True)
-    u = fsub.add_parser("uniform-type")
-    u.add_argument("--r", type=int, required=True)
-    st = fsub.add_parser("staircase")
-    st.add_argument("--r", type=int, required=True)
-    for q in (g, b, k, u, st):
+    for kind, family in fam.FAMILIES.items():
+        q = fsub.add_parser(kind)
+        for param in family.params:
+            q.add_argument(f"--{param}", type=int, required=True)
+        if kind == "gas":
+            q.add_argument("--variant", choices=fam.GAS_PF_VARIANTS, default=fam.CORRECTED)
         q.add_argument("--json", action="store_true")
         q.set_defaults(func=_cmd_family)
 
@@ -349,17 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="CSV of invariants over a parameter range")
-    p.add_argument(
-        "target",
-        choices=("uniform-type", "staircase", "bresinsky", "backelin", "gas", "dup-self"),
-    )
-    p.add_argument("--r-range", type=_int_range, default=None)
-    p.add_argument("--h-range", type=_int_range, default=None)
-    p.add_argument("--n-range", type=_int_range, default=None)
-    p.add_argument("--d-range", type=_int_range, default=None)
-    p.add_argument("--n0-range", type=_int_range, default=None)
-    p.add_argument("--s-range", type=_int_range, default=None)
-    p.add_argument("--p-range", type=_int_range, default=None)
+    p.add_argument("target", choices=[*fam.FAMILIES, "dup-self"])
+    # every family parameter's range, and dup-self's d
+    params = [param for family in fam.FAMILIES.values() for param in family.params]
+    for param in dict.fromkeys(params + ["d"]):
+        p.add_argument(f"--{param}-range", type=_int_range, default=None)
     p.add_argument("--gens", type=_int_list, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

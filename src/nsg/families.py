@@ -1,16 +1,20 @@
 """Parametric semigroup families with closed-form pseudo-Frobenius sets.
 
-Four families: generalized arithmetic sequences (GAS), the Backelin and
+Five families: generalized arithmetic sequences (GAS), the Backelin and
 Bresinsky four-generator curve families, and the two fixed-type witness
 families (consecutive-interval generators, staircase generators).  Each
 closed form is meant to be cross-checked against the brute-force oracle;
-none of them is trusted blindly.
+none of them is trusted blindly.  ``FAMILIES`` at the bottom maps each
+family's name to its integer parameters, its generators, its closed-form PF
+set and the tuples a sweep skips; the CLI and the verify checks read the
+families through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import (
     GcdNotOneError,
@@ -84,8 +88,8 @@ class GasParams:
         return self.p < self.n0
 
 
-def gas_semigroup(params: GasParams) -> NumericalSemigroup:
-    """Semigroup of the sequence; rejects sequences that are not minimal generating sets.
+def gas_generators(params: GasParams) -> tuple[int, ...]:
+    """The sequence; rejects sequences that are not minimal generating sets.
 
     The refusal is decided by ``params.is_minimal_sequence`` before the
     sequence is built, so a huge p costs nothing.
@@ -95,7 +99,12 @@ def gas_semigroup(params: GasParams) -> NumericalSemigroup:
             f"GAS with n0={params.n0}, p={params.p} is not a minimal generating set: "
             f"p >= n0 makes s*n0 + n0*d a multiple of n0"
         )
-    return NumericalSemigroup(params.sequence)
+    return params.sequence
+
+
+def gas_semigroup(params: GasParams) -> NumericalSemigroup:
+    """Semigroup of the sequence; rejects sequences that are not minimal generating sets."""
+    return NumericalSemigroup(gas_generators(params))
 
 
 def gas_pf_closed(params: GasParams, variant: str = CORRECTED) -> list[int]:
@@ -283,21 +292,91 @@ def _check_r(r: int) -> None:
         )
 
 
+def uniform_type_generators(r: int) -> range:
+    """r+1, r+2, ..., 2r+1."""
+    _check_r(r)
+    return range(r + 1, 2 * r + 2)
+
+
 def uniform_type_family(r: int) -> NumericalSemigroup:
     """<r+1, r+2, ..., 2r+1>: PF = {1..r}, type r, maximal reduced type."""
-    _check_r(r)
-    return NumericalSemigroup(range(r + 1, 2 * r + 2))
+    return NumericalSemigroup(uniform_type_generators(r))
 
 
 def uniform_type_pf_closed(r: int) -> list[int]:
     return list(range(1, r + 1))
 
 
+def staircase_generators(r: int) -> range:
+    """r+1, r+1+(r+2), ..., r+1+r(r+2): r + 1 terms of step r + 2."""
+    _check_r(r)
+    return range(r + 1, (r + 1) * (r + 3), r + 2)
+
+
 def staircase_min_type_family(r: int) -> NumericalSemigroup:
     """<r+1, r+1+(r+2), ..., r+1+r(r+2)>: PF = {(r+2), 2(r+2), ..., r(r+2)}, minimal reduced type."""
-    _check_r(r)
-    return NumericalSemigroup(r + 1 + i * (r + 2) for i in range(r + 1))
+    return NumericalSemigroup(staircase_generators(r))
 
 
 def staircase_pf_closed(r: int) -> list[int]:
     return [i * (r + 2) for i in range(1, r + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the CLI and the verify checks know of one named family.
+
+    ``generators(*values)`` and ``pf_closed(*values)`` take the integer
+    parameters named by ``params``, in that order; ``generators`` refuses
+    values outside the family.  A sweep walks the parameters' ranges in
+    lexicographic order and skips the tuples that ``in_domain`` rejects.
+    ``last_stop(*head)`` may bound the last parameter for the values before
+    it: the ascending walk of the last range stops below that bound, past
+    which ``in_domain`` rejects every value.
+    """
+
+    params: tuple[str, ...]
+    generators: Callable[..., Sequence[int]]
+    pf_closed: Callable[..., list[int]]
+    in_domain: Callable[..., bool] = lambda *values: True
+    last_stop: Callable[..., int | None] = lambda *head: None
+
+
+def _gas_in_domain(n0: int, s: int, d: int, p: int) -> bool:
+    """True iff ``GasParams`` accepts the tuple and p < n0."""
+    try:
+        return GasParams(n0, s, d, p).is_minimal_sequence
+    except (InvalidParamError, GcdNotOneError):
+        return False
+
+
+# The entries call the module's functions through lambdas, which look each
+# name up at call time, so a wrapper set on this module sees every call.
+FAMILIES: dict[str, Family] = {
+    "gas": Family(
+        ("n0", "s", "d", "p"),
+        lambda n0, s, d, p: gas_generators(GasParams(n0, s, d, p)),
+        lambda n0, s, d, p: gas_pf_closed(GasParams(n0, s, d, p)),
+        in_domain=_gas_in_domain,
+        last_stop=lambda n0, s, d: n0,
+    ),
+    "bresinsky": Family(
+        ("h",), lambda h: BresinskyParams(h).generators, lambda h: bresinsky_pf_closed(h)
+    ),
+    "backelin": Family(
+        ("n", "r"),
+        lambda n, r: BackelinParams(n, r).generators,
+        lambda n, r: backelin_pf_closed(n, r),
+        in_domain=lambda n, r: r >= 3 * n + 2,
+    ),
+    "uniform-type": Family(
+        ("r",), lambda r: uniform_type_generators(r), lambda r: uniform_type_pf_closed(r)
+    ),
+    "staircase": Family(
+        ("r",), lambda r: staircase_generators(r), lambda r: staircase_pf_closed(r)
+    ),
+}

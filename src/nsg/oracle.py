@@ -18,11 +18,12 @@ which pass unless the closed form contradicts the oracle.  Mismatches are
 findings to surface, never to patch away.  One verify run (``verify_run``)
 keeps one memo of what it asks more than once: an oracle answer per distinct
 semigroup and per distinct duplication, and on the closed-form side a core
-semigroup per generator tuple, an ideal per (generators, ideal generators)
-and a GAS instance per (n0, s, d, p).  The memo is dropped when the run ends.
-Its oracle answers are immutable, with PF as a tuple, so a lookup hands out
-the stored answer with no copy.  Outside a run the checks compute afresh, and
-direct ``naive_*`` calls are never cached and return PF lists.
+semigroup per generator tuple, an ideal per (generators, ideal generators),
+a GAS instance per (n0, s, d, p) and the GAS grid per bounds.  The memo is
+dropped when the run ends.  Its oracle answers are immutable, with PF as a
+tuple, so a lookup hands out the stored answer with no copy.  Outside a run
+the checks compute afresh, and direct ``naive_*`` calls are never cached and
+return PF lists.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py swaps this name
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -350,21 +351,21 @@ def claim_passes(claim_id: str, reports: list[VerificationReport]) -> bool:
 # ---------------------------------------------------------------------------
 # Run memo: each question a verify run asks more than once, answered once
 #
-# Several claims ask the same questions: each GAS tuple is checked five
-# times, the duplication triples up to four times, and the construction
-# claims build the same few pool semigroups, ideals and tildes on every
-# instance.  So a verify run keeps one plain dict, opened by ``verify_run``
-# and dropped when the run ends; it holds one entry per distinct question of
-# the run's plan, which the grid caps bound.  Outside a run every accessor
-# computes afresh.  Keys are tagged tuples, and every value is a pure function
-# of its key and immutable where it is shared: oracle answers are frozen with
-# PF as a tuple (a check that reports PF hands the judge its own
-# ``list(stats.pf)``), core semigroups and GAS parameters are immutable, and an
-# ideal only caches what it derives.  A value is stored once its builder
-# returns, so an error is never stored.  The oracle answers and the core
-# objects share this dict but no code path.  The slot is module-level because
-# verify runs in one thread; a concurrent caller can lose hits, never get a
-# wrong answer.
+# Several claims ask the same questions: three claims walk the same GAS grid,
+# each GAS tuple is checked five times, the duplication triples up to four
+# times, and the construction claims build the same few pool semigroups,
+# ideals and tildes on every instance.  So a verify run keeps one plain dict,
+# opened by ``verify_run`` and dropped when the run ends; it holds one entry
+# per distinct question of the run's plan, which the grid caps bound.  Outside
+# a run every accessor computes afresh.  Keys are tagged tuples, and every
+# value is a pure function of its key and immutable where it is shared: oracle
+# answers are frozen with PF as a tuple (a check that reports PF hands the
+# judge its own ``list(stats.pf)``), core semigroups, GAS parameters and grids
+# are immutable, and an ideal only caches what it derives.  A value is stored
+# once its builder returns, so an error is never stored.  The oracle answers
+# and the core objects share this dict but no code path.  The slot is
+# module-level because verify runs in one thread; a concurrent caller can lose
+# hits, never get a wrong answer.
 
 _run_memo: dict | None = None
 
@@ -434,14 +435,9 @@ def _gas(inst: dict) -> tuple[fam.GasParams, NaiveStats]:
 
     def build() -> tuple[fam.GasParams, NaiveStats]:
         params = fam.GasParams(*key[1:])
-        return params, _oracle_stats(params.sequence)
+        return params, _oracle_stats(fam.gas_generators(params))
 
     return _recall(key, build)
-
-
-def clear_memo() -> None:
-    """Forget the cached GAS grids (a run's memo ends with the run)."""
-    _gas_tuples.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +491,8 @@ def _cap(frobenius_estimate: int, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=8)
 def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """The valid (n0, s, d, p) under ``bounds``, built once per process per bounds.
+    """The valid (n0, s, d, p) under ``bounds``.
 
     Every candidate passes the Frobenius cap first.  Minimality is decided by
     arithmetic, with no semigroup built: n0, s*n0 + d, ..., s*n0 + p*d with
@@ -522,9 +517,10 @@ def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...
 
 
 def _gas_instances(grid: dict) -> list[dict]:
+    bounds = tuple(grid["gas"])
     return [
         {"n0": n0, "s": s, "d": d, "p": p}
-        for n0, s, d, p in _gas_tuples(tuple(grid["gas"]))
+        for n0, s, d, p in _recall(("gas grid", *bounds), lambda: _gas_tuples(bounds))
     ]
 
 
@@ -721,32 +717,28 @@ def _check_prop_3_3(inst: dict) -> Check:
     )
 
 
-def _backelin_gens(inst: dict) -> tuple[int, ...]:
-    return fam.BackelinParams(inst["n"], inst["r"]).generators
-
-
-def _bresinsky_gens(inst: dict) -> tuple[int, ...]:
-    return fam.BresinskyParams(inst["h"]).generators
+def _family_gens(name: str, inst: dict) -> Sequence[int]:
+    """The generators of the named family at the parameter values ``inst`` holds."""
+    family = fam.FAMILIES[name]
+    return family.generators(*[inst[param] for param in family.params])
 
 
 def _check_prop_3_5(inst: dict) -> Check:
     n, r = inst["n"], inst["r"]
     closed = [fam.backelin_pf_closed(n, r), fam.backelin_frobenius_closed(n, r)]
-    got = list(_oracle_stats(_backelin_gens(inst)).pf)
+    got = list(_oracle_stats(_family_gens("backelin", inst)).pf)
     return "prop-3.5", closed, [got, max(got)]
 
 
-def _check_never_extremal(
-    claim: str, gens_of: Callable[[dict], Sequence[int]], inst: dict
-) -> Check:
+def _check_never_extremal(claim: str, family: str, inst: dict) -> Check:
     """prop-3.6 (Backelin) and prop-3.10 (Bresinsky): neither maximal nor minimal."""
-    return claim, ["neither"], [_oracle_stats(gens_of(inst)).extremality_label]
+    return claim, ["neither"], [_oracle_stats(_family_gens(family, inst)).extremality_label]
 
 
 def _check_thm_3_8(inst: dict) -> Check:
     h = inst["h"]
     closed = [fam.bresinsky_pf_closed(h), 4 * h - 3]
-    got = list(_oracle_stats(_bresinsky_gens(inst)).pf)
+    got = list(_oracle_stats(_family_gens("bresinsky", inst)).pf)
     return "thm-3.8", closed, [got, len(got)]
 
 
@@ -830,22 +822,16 @@ def _check_dup_maximal(claim: str, star: bool, inst: dict) -> Check:
     return claim, [closed], [_oracle_dup_stats(inst["gens"], e_gens, inst["d"]).is_maximal]
 
 
-def _check_remark_5_3(inst: dict) -> Check:
-    r = inst["r"]
-    stats = _oracle_stats(list(range(r + 1, 2 * r + 2)))
-    return "remark-5.3", [fam.uniform_type_pf_closed(r), True], [list(stats.pf), stats.is_maximal]
-
-
-def _check_remark_5_5(inst: dict) -> Check:
-    r = inst["r"]
-    stats = _oracle_stats([r + 1 + i * (r + 2) for i in range(r + 1)])
-    return "remark-5.5", [fam.staircase_pf_closed(r), True], [list(stats.pf), stats.is_minimal]
+def _check_fixed_type(claim: str, family: str, extremal: str, inst: dict) -> Check:
+    """remark-5.3 (uniform type, maximal) and remark-5.5 (staircase, minimal): PF and extremality."""
+    stats = _oracle_stats(_family_gens(family, inst))
+    closed = fam.FAMILIES[family].pf_closed(inst["r"])
+    return claim, [closed, True], [list(stats.pf), getattr(stats, extremal)]
 
 
 def _check_remark_5_8(inst: dict) -> Check:
-    r = inst["r"]
-    stats = _oracle_dup_stats(list(range(r + 1, 2 * r + 2)), [0], inst["d"])
-    return "remark-5.8", [r, True], [stats.cm_type, stats.is_maximal]
+    stats = _oracle_dup_stats(_family_gens("uniform-type", inst), [0], inst["d"])
+    return "remark-5.8", [inst["r"], True], [stats.cm_type, stats.is_maximal]
 
 
 # ---------------------------------------------------------------------------
@@ -885,15 +871,9 @@ _CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], Check]]]
     "prop-3.2": (_gas_instances, _check_prop_3_2),
     "prop-3.3": (partial(_gas_reading_instances, "mode", fam.GAS_MINIMAL_MODES), _check_prop_3_3),
     "prop-3.5": (_backelin_instances, _check_prop_3_5),
-    "prop-3.6": (
-        _backelin_instances,
-        partial(_check_never_extremal, "prop-3.6", _backelin_gens),
-    ),
+    "prop-3.6": (_backelin_instances, partial(_check_never_extremal, "prop-3.6", "backelin")),
     "thm-3.8": (_bresinsky_instances, _check_thm_3_8),
-    "prop-3.10": (
-        _bresinsky_instances,
-        partial(_check_never_extremal, "prop-3.10", _bresinsky_gens),
-    ),
+    "prop-3.10": (_bresinsky_instances, partial(_check_never_extremal, "prop-3.10", "bresinsky")),
     "cor-4.2": (_gluing_instances, _check_cor_4_2),
     "prop-4.3": (_gluing_instances, _check_prop_4_3),
     "cor-4.6": (_nice_ext_instances, _check_cor_4_6),
@@ -901,8 +881,14 @@ _CLAIMS: dict[str, tuple[Callable[[dict], list[dict]], Callable[[dict], Check]]]
     "thm-5.4": (_dup_instances, _check_thm_5_4),
     "prop-5.7": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.7", False)),
     "prop-5.9": (_dup_self_instances, partial(_check_dup_maximal, "prop-5.9", True)),
-    "remark-5.3": (partial(_r_instances, "uniform-type", lambda r: r), _check_remark_5_3),
-    "remark-5.5": (partial(_r_instances, "staircase", lambda r: r * (r + 2)), _check_remark_5_5),
+    "remark-5.3": (
+        partial(_r_instances, "uniform-type", lambda r: r),
+        partial(_check_fixed_type, "remark-5.3", "uniform-type", "is_maximal"),
+    ),
+    "remark-5.5": (
+        partial(_r_instances, "staircase", lambda r: r * (r + 2)),
+        partial(_check_fixed_type, "remark-5.5", "staircase", "is_minimal"),
+    ),
     "remark-5.8": (_dup_uniform_instances, _check_remark_5_8),
 }
 

@@ -1,11 +1,15 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
 import time
 
 from conftest import run_cli
 
+import nsg.families as fam
 from nsg import cli, oracle
+from nsg.core import NumericalSemigroup
 
 
 def test_analyze_json_record():
@@ -388,3 +392,126 @@ def test_sweep_bad_range_syntax():
 def test_sweep_missing_flags():
     code, _, err = run_cli("sweep", "dup-self", "--d-range", "7:9")
     assert code == 1
+    for target, flags in (
+        ("backelin", ("--n-range", "--r-range")),
+        ("gas", ("--n0-range", "--s-range", "--d-range", "--p-range")),
+    ):
+        code, out, err = run_cli("sweep", target, "--r-range", "9:9", "--d-range", "1:1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SemigroupError: ")
+        assert all(flag in err for flag in flags)
+
+
+def test_sweep_gas_refused_build_exits_1():
+    # an in-domain tuple whose build is refused is an error, not an empty sweep
+    code, out, err = run_cli(
+        "sweep", "gas",
+        "--n0-range", "4194305:4194305", "--s-range", "1:1", "--d-range", "1:1", "--p-range", "2:3",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: TableLimitError: ")
+    code, out, err = run_cli("family", "gas", "--n0", "4194305", "--s", "1", "--d", "1", "--p", "2")
+    assert (code, out) == (1, "") and err.startswith("error: TableLimitError: ")
+
+
+# answering family and sweep calls, each with the sha256 of f"{exit code}\n{stdout}"
+PINNED = [
+    ("family gas --n0 7 --s 5 --d 11 --p 4",
+     "8e52a6f43ef527260af2b325d19cbeb9c1e098caa0c20f971917d1ba18d393cd"),
+    ("family gas --n0 7 --s 5 --d 11 --p 4 --json",
+     "b78bd74f85d026f0485a0b0057781a350ae969609bcd504725e383c38e31e199"),
+    ("family gas --n0 12 --s 2 --d 5 --p 8 --variant AsStated",
+     "00eca5b5f71537350c64a8f3473de50f5c5a3a087155b9d687fd383b0d6f344b"),
+    ("family gas --n0 10 --s 2 --d 3 --p 5 --variant AsStated --json",
+     "b00eb1681da9f72bb342467c2892770edaa937c574ca3c973e5f5f700e256cee"),
+    ("family gas --n0 11 --s 1 --d 2 --p 5 --json",
+     "7b6b5c4ab9add64012d05f091315456efffe56547fbf64d25bec598c11e2a751"),
+    ("family bresinsky --h 3",
+     "c2d3a99a257e37010070d520786be7eae7fdcf6aa097d2ce70a08e5fbf92ea62"),
+    ("family bresinsky --h 4 --json",
+     "b60a378232c533b4d0659b1ad1f05a1b2411ac2ae646e6aaf148e88fffd64bb4"),
+    ("family backelin --n 2 --r 8",
+     "482f778bf82d96ce15c21a9279e7ef0a170dcad70597ba456b8217881facb626"),
+    ("family backelin --n 3 --r 12 --json",
+     "608b45f7ff9e5a0fba1fcd6e35ea17564b67e0ee6b26212cd0c4dd8d31e1f1f9"),
+    ("family uniform-type --r 5",
+     "cdaab1b4d4251acbf20d2bd24fbf36dfa17a8c1783ecb07e3bc9d9bd4502c6e3"),
+    ("family uniform-type --r 1 --json",
+     "e33fc8552ff663d0f4959dc17ed3a97b7731864e60ce9f8b39f3ec6ecaf8d463"),
+    ("family staircase --r 4",
+     "3dc36ddab5309eb3783a9664774ffb58c27ceafcb00d19e36e844ce03529082c"),
+    ("family staircase --r 3 --json",
+     "582a7c19f7f80c75d8a74a073436763052cded7dfcdb27fe21a81f1f79b4dfc8"),
+    ("sweep uniform-type --r-range 1:8",
+     "0d52b114097c16e9193529bf7f329651e2a55484a6937986d6cea38ee279ad2c"),
+    ("sweep staircase --r-range 1:9:2",
+     "ea12c51e6be3788e035c3666e4914f672037795a2da3fbfe165f7cbb813eb08d"),
+    ("sweep bresinsky --h-range 2:5",
+     "ba4a7697bd5cc7d63fa7b4f35804c9bd911168a0fc7813aee6565f91ccf952c0"),
+    ("sweep backelin --n-range 2:4 --r-range 7:15",
+     "a76b21877d486e75fed89b5eb17037bbbd76e75a983d61a9d711e181d22b11cf"),
+    ("sweep gas --n0-range 0:9 --s-range 0:2 --d-range 0:4 --p-range 0:12",
+     "da0da064e8324624e7aa5b52345313ec8af6d84909c74609de29b75c68e4336f"),
+    ("sweep gas --n0-range 3:3 --s-range 1:1 --d-range 1:1 --p-range 2:100000000000",
+     "7b0da0ba463465b39a0dc78fc62ce832caa0ce2f29c14dcfa5f822ca29e0e7dc"),
+    ("sweep dup-self --gens 5,6,7 --d-range 7:31:2",
+     "1a33cd32eb361049ccdd18d0ede1a103bad2720336cf64ca550bcc178f028f4d"),
+    ("sweep dup-self --gens 3,4,5 --d-range 0:15",
+     "9be5bf7ddaf43d870761356fc0e8bc148feb888899cd2bef2906d5551f95b42a"),
+]
+
+
+def test_family_and_sweep_output_is_pinned(tmp_path):
+    path = tmp_path / "sweep.csv"
+    for line, digest in PINNED:
+        argv = line.split()
+        code, out, _ = run_cli(*argv)
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, line
+        if argv[0] == "sweep":
+            assert run_cli(*argv, "--out", str(path)) == (code, "", "")
+            assert path.read_text() == out
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+# three parameter tuples per family, and its public constructor
+SAMPLES = {
+    "gas": (
+        [(7, 5, 11, 4), (10, 2, 3, 5), (12, 2, 5, 8)],
+        lambda *v: fam.gas_semigroup(fam.GasParams(*v)),
+    ),
+    "bresinsky": ([(2,), (3,), (4,)], fam.bresinsky_semigroup),
+    "backelin": ([(2, 8), (2, 10), (3, 11)], fam.backelin_semigroup),
+    "uniform-type": ([(1,), (2,), (6,)], fam.uniform_type_family),
+    "staircase": ([(1,), (3,), (5,)], fam.staircase_min_type_family),
+}
+
+
+def test_family_table_drives_the_cli():
+    assert list(SAMPLES) == list(fam.FAMILIES)
+    family_parser = _subparser(cli.build_parser(), "family")
+    for name, family in fam.FAMILIES.items():
+        actions = _subparser(family_parser, name)._actions
+        flags = {flag for a in actions for flag in a.option_strings} - {"-h", "--help", "--json"}
+        extra = {"--variant"} if name == "gas" else set()
+        assert flags == {f"--{param}" for param in family.params} | extra, name
+        values, construct = SAMPLES[name]
+        for v in values:
+            sg = construct(*v)
+            assert NumericalSemigroup(family.generators(*v)) == sg
+            assert family.pf_closed(*v) == sg.pf_set()
+            pairs = list(zip(family.params, map(str, v)))
+            flags = [x for param, value in pairs for x in (f"--{param}", value)]
+            code, out, _ = run_cli("family", name, *flags, "--json")
+            assert code == 0
+            assert json.loads(out)["pf_closed_form"] == sg.pf_set()
+            ranges = [x for param, value in pairs for x in (f"--{param}-range", f"{value}:{value}")]
+            code, out, _ = run_cli("sweep", name, *ranges)
+            header, row = out.splitlines()
+            assert code == 0
+            tail = ["frobenius", "type", "reduced_type", "extremality"]
+            assert header.split(",") == [*family.params, *tail]
+            assert row.split(",")[: len(v)] == [value for _, value in pairs]

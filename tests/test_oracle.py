@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import inspect
 import json
 import math
 import multiprocessing.process
@@ -14,7 +15,7 @@ from conftest import run_cli
 
 import nsg.oracle as oracle
 from nsg.constructions import Verdict
-from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup
+from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup, SemigroupError
 from nsg.oracle import (
     GridTooLargeError,
     UnknownClaimError,
@@ -181,7 +182,6 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     monkeypatch.setattr(oracle, "_closure_bits", counting_closure)
     monkeypatch.setattr(oracle, "naive_stats", counting_stats)
     monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
-    oracle.clear_memo()
     reports = verify_claim("all", {"preset": "smoke"})
     assert len(set(stats_keys)) == len(stats_keys) > 0
     assert len(set(dup_keys)) == len(dup_keys) > 0
@@ -250,7 +250,6 @@ def test_run_instance_outside_a_run_answers_as_inside_one():
 def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
     # the CLI asks for one claim at a time; the memo spans those calls
     monkeypatch.setenv("NSG_THREADS", "1")
-    oracle.clear_memo()
     with gzip.open(SMOKE_JSONL, "rt") as fh:
         golden = fh.read()
     code, out, _ = run_cli("verify", "all", "--grid", "smoke")
@@ -286,9 +285,22 @@ def test_memo_hands_out_fresh_pf_lists(monkeypatch):
             assert list(again.pf) == pf
 
 
-def test_memo_is_bounded():
-    # no memo is held once verify_claim returns; the GAS grid cache is bounded
-    assert oracle._gas_tuples.cache_info().maxsize is not None
+def test_memo_is_bounded(monkeypatch):
+    # no memo is held once verify_claim returns, the GAS grid included: outside
+    # a run, asking for the same grid again enumerates it again
+    capped = []
+    cap = oracle._cap
+
+    def counting(estimate, what):
+        capped.append(what)
+        return cap(estimate, what)
+
+    monkeypatch.setattr(oracle, "_cap", counting)
+    oracle.claim_instances("thm-3.1", {"preset": "full"})
+    first = list(capped)
+    oracle.claim_instances("thm-3.1", {"preset": "full"})
+    assert len(first) > 0 and capped == first + first
+    monkeypatch.undo()
     verify_claim("all", {"preset": "smoke"})
     assert oracle._run_memo is None
     # inside an open run, verify_claim reuses its memo, which holds one entry
@@ -305,7 +317,6 @@ def test_memo_is_bounded():
 
 
 def test_memo_does_not_cache_errors(monkeypatch):
-    oracle.clear_memo()
     monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
     with oracle.verify_run() as memo:
         for _ in range(2):
@@ -318,7 +329,6 @@ def test_memo_does_not_cache_errors(monkeypatch):
             with pytest.raises(GridTooLargeError):
                 oracle._gas_instances({"gas": (16, 3, 17, 7)})
         assert memo == {}
-    assert oracle._gas_tuples.cache_info().currsize == 0
 
 
 def test_gas_grid_builds_no_semigroup(monkeypatch):
@@ -331,7 +341,6 @@ def test_gas_grid_builds_no_semigroup(monkeypatch):
         init(self, gens)
 
     monkeypatch.setattr(NumericalSemigroup, "__init__", counting_init)
-    oracle._gas_tuples.cache_clear()
     instances = oracle.claim_instances("thm-3.1", {"preset": "full"})
     assert len(instances) == 2 * 2187
     assert builds == []
@@ -346,6 +355,50 @@ def test_gas_grid_hands_out_fresh_instances():
     again = oracle._gas_instances({"gas": [8, 2, 9, 4]})
     assert again[0]["n0"] == 3 and {} not in again
     assert len(again) == len(first) - 1
+
+
+def _engine_functions() -> list:
+    """The functions and methods defined from ``_validate`` through ``naive_duplication_stats``."""
+    first = oracle._validate.__code__.co_firstlineno
+    last = oracle.naive_duplication_stats.__code__.co_firstlineno
+    found = []
+    for obj in vars(oracle).values():
+        if getattr(obj, "__module__", None) != oracle.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found.append(obj)
+        elif inspect.isclass(obj):
+            found += [
+                getattr(member, "fget", member)
+                for member in vars(obj).values()
+                if inspect.isfunction(member) or isinstance(member, property)
+            ]
+    return [f for f in found if first <= f.__code__.co_firstlineno <= last]
+
+
+def test_oracle_engine_reaches_no_closed_form():
+    # the engine is the independent side of the harness: from the core it may
+    # raise the error classes only, and it reaches neither the constructions nor
+    # the families, however deep its calls into the rest of the module go
+    engine = _engine_functions()
+    assert {oracle._validate, oracle._closure_bits, oracle.naive_duplication_stats} <= set(engine)
+    assert oracle.NaiveStats.extremality_label.fget in engine
+    todo = [f.__code__ for f in engine]
+    seen = set()
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        todo += [const for const in code.co_consts if inspect.iscode(const)]
+        for name in code.co_names:
+            assert name not in ("cons", "fam"), (code.co_name, name)
+            obj = getattr(oracle, name, None)
+            owner = getattr(obj, "__module__", None)
+            if owner == "nsg.core":
+                assert inspect.isclass(obj) and issubclass(obj, SemigroupError), (code.co_name, name)
+            elif owner == oracle.__name__ and inspect.isfunction(obj):
+                todo.append(obj.__code__)
 
 
 def test_naive_duplication_stats():
@@ -426,7 +479,6 @@ def test_parallel_runs_match_sequential(monkeypatch):
             monkeypatch.delenv("NSG_THREADS", raising=False)
         else:
             monkeypatch.setenv("NSG_THREADS", threads)
-        oracle.clear_memo()
         runs[threads] = [r.json_line() for r in verify_claim("all", {"preset": "smoke"})]
     assert runs["1"] == runs["2"] == runs[None]
 
