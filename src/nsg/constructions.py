@@ -20,6 +20,7 @@ from .core import (
     InvalidParamError,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    _maximal_classes,
     naturals,
 )
 
@@ -278,13 +279,37 @@ class SemigroupIdeal:
 
     @cached_property
     def tilde(self) -> NumericalSemigroup:
-        """E together with 0, as a numerical semigroup (S itself when E is S or S*)."""
+        """E together with 0, as a numerical semigroup (S itself when E is S or S*).
+
+        Built only on request: the closed forms read ``tilde_frobenius`` and
+        ``tilde_reduced_type`` off E's table instead.
+        """
         if self.kind is not IdealKind.PROPER:
             return self.ambient
         # generated by its Apery set mod e = min E, with e itself in class 0
         return NumericalSemigroup(
             _least_per_class(self.gens, self.ambient.apery_set(self.min_element))
         )
+
+    @cached_property
+    def tilde_frobenius(self) -> int:
+        """F(E u {0}), read off E's least elements without building the semigroup."""
+        if self.kind is not IdealKind.PROPER:
+            return self.ambient.frobenius
+        # the largest integer outside E; it is not 0, as conductor_e = 1
+        # would put S* inside E
+        return self.conductor_e - 1
+
+    @cached_property
+    def tilde_reduced_type(self) -> int:
+        """Reduced type of E u {0}: its gaps in (F - e, F] with e = min E, its multiplicity."""
+        if self.kind is not IdealKind.PROPER:
+            return self.ambient.pf_profile().reduced_type
+        frob = self.tilde_frobenius
+        # 1 .. e - 1 are gaps, so F >= e - 1 and the window starts at 0 or
+        # above; 0 is in E u {0} but not in E, so it is left out
+        window = range(max(1, frob - self.min_element + 1), frob + 1)
+        return sum(not self.contains(x) for x in window)
 
     def ambient_outside_tilde(self) -> list[int]:
         """The finite set S \\ (E u {0}).
@@ -379,15 +404,19 @@ def duplication_pf(spec: DuplicationSpec) -> list[int]:
         return sorted(2 * f + d for f in pf_s)
     if spec.e_kind is IdealKind.STAR:
         return sorted({d} | {2 * f for f in pf_s} | {2 * f + d for f in pf_s})
+    # E~ is never built: both sets are read off E's least element in each
+    # class mod m.  D1: as E = gens + S and E + S lies in E, f is in PF(E~)
+    # iff f >= 1, f is not in E and f + gens lies in E; a PF(S) element lies
+    # outside S, so outside E, and is >= 1 unless S = N, where -1 fails.
+    # D2: as S* = E u (S \ E~), its f are the f not in E with f + S* in E
+    # (f < 0 would put f + m in (0, m)), i.e. with f + g in E for every
+    # minimal generator g.  f + m in E leaves f = least[r] - m in class r,
+    # and the rest is the PF test on Ap(S, m), run on E's table.
     e = spec.e
-    pf_t = e.tilde.pf_set()
-    delta1 = {2 * f for f in set(pf_s) & set(pf_t)}
-    outside = e.ambient_outside_tilde()
-    delta2 = {
-        2 * f + d
-        for f in pf_t
-        if all(e.contains(f + x) for x in outside if x <= e.conductor_e - f)
-    }
+    least, m = e._least, spec.s.multiplicity
+    delta1 = {2 * f for f in pf_s if all(e.contains(f + g) for g in e.gens)}
+    classes = _maximal_classes(least, spec.s.minimal_generators[1:])
+    delta2 = {2 * (least[r] - m) + d for r in classes}
     return sorted(delta1 | delta2)
 
 
@@ -449,9 +478,8 @@ def duplication_min_classifier(spec: DuplicationSpec) -> MinClassification:
         ok = d > 2 * mult
         return MinClassification("ii.b.2", Verdict.TRUE if ok else Verdict.FALSE)
 
-    tilde = spec.e.tilde
-    tilde_minimal = tilde.pf_profile().extremality.is_minimal
-    if frob != tilde.frobenius:
+    tilde_minimal = spec.e.tilde_reduced_type == 1
+    if frob != spec.e.tilde_frobenius:
         if tilde_minimal:
             return MinClassification("iii.a", Verdict.SUFFICIENT_ONLY_TRUE)
         return MinClassification("iii.a", Verdict.NO_CONCLUSION)

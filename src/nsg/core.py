@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # Apery sets are rejected beyond this many residues, before anything is
 # allocated.  Cost grows about linearly in the modulus: for
@@ -163,23 +163,13 @@ class NumericalSemigroup:
     @cached_property
     def _pf(self) -> tuple[int, ...]:
         # w - m is pseudo-Frobenius iff w is maximal in Ap(S, m) under the
-        # semigroup order: for no minimal g > m is w + g an Apery element,
-        # i.e. Ap[(r + g) % m] != w + g where r is the class of w.  The first
-        # such g is tested on all m residues in one pass (Ap shifted by g is
-        # read through islice, so no second table of m entries is built); only
-        # the residues that survive it are tested against the other g.
+        # semigroup order: for no minimal g > m is w + g an Apery element.
         # For S = N there is no g > m and PF is the conventional {-1}.
         ap, m = self._apery, self.multiplicity
         above = self.minimal_generators[1:]
         if not above:
             return (-1,)
-        g = above[0]
-        k = g % m
-        shifted = chain(islice(ap, k, None), islice(ap, k))
-        survivors = list(compress(range(m), map(operator.ne, shifted, map(g.__add__, ap))))
-        for g in above[1:]:
-            survivors = [r for r in survivors if ap[(r + g) % m] != ap[r] + g]
-        return tuple(sorted(ap[r] - m for r in survivors))
+        return tuple(sorted(ap[r] - m for r in _maximal_classes(ap, above)))
 
     def pf_set(self) -> list[int]:
         """Pseudo-Frobenius numbers, ascending: maximal Apery elements minus the multiplicity."""
@@ -262,6 +252,28 @@ def _apery(gens: Iterable[int], n: int) -> list[int]:
                 dist[r] = v
                 heapq.heappush(heap, v)
     return dist
+
+
+def _maximal_classes(table: Sequence[int], steps: Sequence[int]) -> list[int]:
+    """Residues r mod n = len(table) with table[(r + g) % n] != table[r] + g for every g in steps.
+
+    ``table`` holds the least element in each class mod n of a set closed
+    under adding n and each step: Ap(S, m), or the least elements of an ideal
+    of S.  So r survives iff table[r] - n + g is in the set for every step.
+    The first step is tested on all n residues in one pass (the table shifted
+    by g is read through islice, so no second table of n entries is built);
+    only the residues that survive it are tested against the other steps.
+    """
+    n = len(table)
+    if not steps:
+        return list(range(n))
+    g = steps[0]
+    k = g % n
+    shifted = chain(islice(table, k, None), islice(table, k))
+    survivors = list(compress(range(n), map(operator.ne, shifted, map(g.__add__, table))))
+    for g in steps[1:]:
+        survivors = [r for r in survivors if table[(r + g) % n] != table[r] + g]
+    return survivors
 
 
 _NATURALS = NumericalSemigroup([1])

@@ -353,10 +353,10 @@ def claim_passes(claim_id: str, reports: list[VerificationReport]) -> bool:
 #
 # Several claims ask the same questions: three claims walk the same GAS grid,
 # each GAS tuple is checked five times, the duplication triples up to four
-# times, and the construction claims build the same few pool semigroups,
-# ideals and tildes on every instance.  So a verify run keeps one plain dict,
-# opened by ``verify_run`` and dropped when the run ends; it holds one entry
-# per distinct question of the run's plan, which the grid caps bound.  Outside
+# times, and the construction claims build the same few pool semigroups and
+# ideals on every instance.  So a verify run keeps one plain dict, opened by
+# ``verify_run`` and dropped when the run ends; it holds one entry per
+# distinct question of the run's plan, which the grid caps bound.  Outside
 # a run every accessor computes afresh.  Keys are tagged tuples, and every
 # value is a pure function of its key and immutable where it is shared: oracle
 # answers are frozen with PF as a tuple (a check that reports PF hands the
@@ -424,7 +424,7 @@ def _semigroup(gens: Sequence[int]) -> NumericalSemigroup:
 
 
 def _ideal(gens: Sequence[int], ideal: Sequence[int]) -> cons.SemigroupIdeal:
-    """The ideal ``ideal`` + S of S = <gens>, once per pair in a run, so its ``tilde`` is shared."""
+    """The ideal ``ideal`` + S of S = <gens>, once per pair in a run."""
     key = ("ideal", tuple(gens), tuple(ideal))
     return _recall(key, lambda: cons.SemigroupIdeal(_semigroup(gens), ideal))
 
@@ -800,7 +800,7 @@ def _check_thm_5_2(inst: dict) -> Check:
     closed = [
         cons.duplication_pf(spec),
         cons.duplication_type_closed(spec),
-        2 * spec.e.tilde.frobenius + spec.d,
+        2 * spec.e.tilde_frobenius + spec.d,
     ]
     stats = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"])
     got = [list(stats.pf), stats.cm_type, stats.frobenius]

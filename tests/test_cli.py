@@ -162,6 +162,30 @@ def test_dup_star():
     assert rec["max_star"] is False
 
 
+def test_large_proper_ideal_dup_builds_only_s_and_the_duplication(monkeypatch):
+    # stdout sha256 of each record; the proper-ideal closed forms read E~ off
+    # the ideal's table mod m(S), so no semigroup of multiplicity min E is built
+    pinned = [
+        ("dup --gens 2000,2711,3013 --ideal 2711 --d 8435 --json",
+         "4452d6468196589fb6042ea7f98214fc878eee0c1f91b8b97445856a780785df"),
+        ("dup --gens 1000,1361,1523 --ideal 1361,1523 --d 4245 --json",
+         "5e9a6fdd1e4084d81a4fb27fbf00af904861a7d6da1431b509058e32eec4e8a9"),
+        ("dup --gens 97,135,159 --ideal 97 --d 135 --json",
+         "af4e7b8214bd1ef8c9b9785347c4ae845940ae5ca2a181d41f6a2adf247cc982"),
+    ]
+    builds = []
+    init = NumericalSemigroup.__init__
+    monkeypatch.setattr(
+        NumericalSemigroup, "__init__", lambda self, gens: builds.append(1) or init(self, gens)
+    )
+    for line, digest in pinned:
+        builds.clear()
+        code, out, _ = run_cli(*line.split())
+        assert code == 0, line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
+        assert len(builds) == 2, line
+
+
 def test_dup_validation_exit_1():
     code, _, err = run_cli("dup", "--gens", "5,6,7", "--ideal", "S", "--d", "9")
     assert code == 1

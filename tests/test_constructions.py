@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 import nsg.constructions as cons
@@ -231,6 +234,64 @@ def test_duplication_pf_matches_constructed():
         spec = DuplicationSpec(S345, SemigroupIdeal(S345, ideal_gens), d)
         assert cons.duplication_pf(spec) == cons.duplicate(spec).pf_set()
         assert cons.duplication_type_closed(spec) == len(cons.duplication_pf(spec))
+
+
+def tilde_duplication_pf(spec: DuplicationSpec) -> list[int]:
+    """D1 u D2 for a proper ideal, read literally off E~ built as a semigroup: the reference."""
+    e, d = spec.e, spec.d
+    pf_t = e.tilde.pf_set()
+    delta1 = {2 * f for f in set(spec.s.pf_set()) & set(pf_t)}
+    outside = e.ambient_outside_tilde()
+    delta2 = {
+        2 * f + d
+        for f in pf_t
+        if all(e.contains(f + x) for x in outside if x <= e.conductor_e - f)
+    }
+    return sorted(delta1 | delta2)
+
+
+def tilde_min_classification(spec: DuplicationSpec) -> tuple[str, Verdict]:
+    """Case iii of the minimal-type tree for a proper ideal, from E~ built as a semigroup."""
+    frob, tilde = spec.s.frobenius, spec.e.tilde
+    hedge = (
+        Verdict.SUFFICIENT_ONLY_TRUE
+        if tilde.pf_profile().extremality.is_minimal
+        else Verdict.NO_CONCLUSION
+    )
+    if frob != tilde.frobenius:
+        return "iii.a", hedge
+    pf_dup = tilde_duplication_pf(spec)
+    if len(pf_dup) < 2 or pf_dup[-2] != 2 * frob:
+        return "iii.b.1", hedge
+    return "iii.b.2", Verdict.TRUE if spec.d > 2 * spec.s.multiplicity else Verdict.FALSE
+
+
+def test_proper_ideal_closed_forms_match_the_tilde_route():
+    pool = [[1], [2, 3], [3, 4, 5], [5, 7, 9], [4, 6, 9], [3, 7, 11], [5, 6, 7]]
+    pool += [[a, b] for a in range(2, 12) for b in range(a + 1, 2 * a) if math.gcd(a, b) == 1]
+    proper = 0
+    for gens in pool:
+        s = NumericalSemigroup(gens)
+        members = [x for x in range(1, 3 * s.conductor + 2 * s.multiplicity) if s.contains(x)]
+        ideals = [[0], list(s.minimal_generators)]
+        ideals += [[x] for x in members[:13]]
+        ideals += [list(pair) for pair in itertools.combinations(members[:8], 2)]
+        odd = [x for x in members if x % 2][:4]
+        for ideal_gens in ideals:
+            e = SemigroupIdeal(s, ideal_gens)
+            assert e.tilde_frobenius == e.tilde.frobenius, (gens, ideal_gens)
+            assert e.tilde_reduced_type == e.tilde.pf_profile().reduced_type, (gens, ideal_gens)
+            if e.kind is not IdealKind.PROPER:
+                continue
+            for d in odd:
+                spec = DuplicationSpec(s, e, d)
+                assert cons.duplication_pf(spec) == tilde_duplication_pf(spec), (gens, ideal_gens, d)
+                got = cons.duplication_min_classifier(spec)
+                assert (got.clause, got.verdict) == tilde_min_classification(spec), (
+                    gens, ideal_gens, d,
+                )
+                proper += 1
+    assert proper > 7000
 
 
 def test_duplication_star_type_contract():
