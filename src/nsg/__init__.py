@@ -43,13 +43,6 @@ from .constructions import (
     nice_extension,
     nice_extension_maximal_iff,
 )
-from .oracle import (
-    VerificationReport,
-    naive_closure,
-    naive_pf,
-    naive_reduced_type,
-    verify_claim,
-)
 
 __version__ = "0.1.0"
 
@@ -96,3 +89,21 @@ __all__ = [
     "uniform_type_family",
     "verify_claim",
 ]
+
+# The verify harness (nsg.oracle) loads on first use of one of its names, so
+# that an `nsg` call that does not verify never compiles or imports it.
+_ORACLE_NAMES = frozenset(
+    {"VerificationReport", "naive_closure", "naive_pf", "naive_reduced_type", "verify_claim"}
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

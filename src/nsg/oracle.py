@@ -33,7 +33,6 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py swaps this name
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -53,6 +52,9 @@ from .core import (
 
 
 T = TypeVar("T")
+
+# Read only by perfbench/tracing.py, which swaps it; goes with ROADMAP item 1's pool leftovers.
+ProcessPoolExecutor = None
 
 
 class UnknownClaimError(SemigroupError):

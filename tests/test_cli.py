@@ -3,7 +3,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from conftest import run_cli
 
@@ -539,3 +543,30 @@ def test_family_table_drives_the_cli():
             tail = ["frobenius", "type", "reduced_type", "extremality"]
             assert header.split(",") == [*family.params, *tail]
             assert row.split(",")[: len(v)] == [value for _, value in pairs]
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import nsg, nsg.cli
+nsg.cli.build_parser()
+unused = ("nsg.oracle", "concurrent.futures", "multiprocessing")
+at_start = [m for m in unused if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = nsg.cli.main(["verify", "thm-3.1", "--grid", "smoke"])
+print(json.dumps({"at_start": at_start, "code": code,
+                  "after_verify": [m for m in unused if m in sys.modules]}))
+"""
+
+
+def test_startup_loads_only_what_the_command_runs():
+    # a fresh interpreter, because this test process has imported everything already
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["at_start"] == []
+    assert seen["code"] == 0
+    assert seen["after_verify"] == ["nsg.oracle"]

@@ -587,3 +587,21 @@ def test_oracle_agrees_with_core_on_touched_semigroups():
         s = NumericalSemigroup(gens)
         assert s.pf_set() == naive_pf(gens)
         assert s.pf_profile().reduced_type == naive_reduced_type(gens)
+
+
+def test_oracle_names_resolve_lazily_from_the_package():
+    import nsg
+
+    lazy = ["VerificationReport", "naive_closure", "naive_pf", "naive_reduced_type", "verify_claim"]
+    for name in nsg.__all__:
+        assert getattr(nsg, name) is not None
+    for name in lazy:
+        assert getattr(nsg, name) is getattr(oracle, name)
+    star: dict = {}
+    exec("from nsg import *", star)
+    assert set(nsg.__all__) <= set(star)
+    assert set(nsg.__all__) <= set(dir(nsg))
+    with pytest.raises(AttributeError):
+        nsg.no_such_name
+    # perfbench/tracing.py:237 swaps this placeholder; delete both together
+    assert hasattr(oracle, "ProcessPoolExecutor")
