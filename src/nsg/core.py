@@ -4,7 +4,10 @@ A numerical semigroup is a cofinite additive submonoid of the nonnegative
 integers, given by generators with gcd 1.  Everything here is exact integer
 arithmetic read off the Apery set of the multiplicity: the member test,
 Frobenius number, genus, pseudo-Frobenius numbers, type, reduced type, and
-the maximal/minimal reduced-type classification.
+the maximal/minimal reduced-type classification.  The Apery set comes from
+a scan that holds the members in each window [jm, (j+1)m) as one m-bit int
+and settles the residues window by window; Dijkstra on the residues mod m
+finishes what the scan leaves.
 
 ``NumericalSemigroup`` is immutable after construction and safe to share
 across threads; all operations are pure reads.
@@ -23,11 +26,19 @@ from typing import Iterable, Sequence
 
 # Apery sets are rejected beyond this many residues, before anything is
 # allocated.  Cost grows about linearly in the modulus: for
-# <10**6, 10**6+3, 1.5*10**6+7, 1.7*10**6+11> the build takes 0.8-1.3 s and
-# pf_profile 0.4-0.5 s, at a 78 MB peak RSS in a fresh interpreter (2-core x86
+# <10**6, 10**6+3, 1.5*10**6+7, 1.7*10**6+11> the build takes 1.1-1.3 s and
+# pf_profile 0.35-0.4 s, at a 76 MB peak RSS in a fresh interpreter (2-core x86
 # host, Python 3.11.7), so the limit keeps one table within a few hundred MB.
 # Sweeps in this package stay far below it.
 TABLE_LIMIT = 1 << 22
+
+# The window scan of ``_apery`` holds at most this many windows of n bits, and
+# at most this many bits in all, so that a large modulus whose first windows
+# settle a few residues each pays for only a few windows.
+_WINDOWS = 64
+_SCAN_BITS = 1 << 22
+# Spreads a bit string over bytes, one bit a byte.
+_LANES = bytes.maketrans(b"01", b"\0\1")
 
 
 class SemigroupError(ValueError):
@@ -123,14 +134,16 @@ class NumericalSemigroup:
         self.frobenius: int = max(self._apery) - m
         # Selmer's formula: class r holds (w - r) / m gaps below its Apery element w
         self.genus: int = (sum(self._apery) - m * (m - 1) // 2) // m
-        # m is minimal.  Any other n with n != Ap[n mod m] is m + (n - m), two
-        # nonzero members.  An Apery element n is minimal iff n - g is a member
-        # for no smaller minimal generator g (a smaller non-minimal one would
-        # split into a minimal g and a member, so it adds no case).
+        # m is minimal, and so is any n < 2m: a split into two nonzero members
+        # would sum to at least 2m.  Any other n with n != Ap[n mod m] is
+        # m + (n - m), two nonzero members.  An Apery element n is minimal iff
+        # n - g is a member for no smaller minimal generator g (a smaller
+        # non-minimal one would split into a minimal g and a member, so it adds
+        # no case).
         ap = self._apery
         mins = [m]
         for n in unique[1:]:
-            if n == ap[n % m] and not any(self.contains(n - g) for g in mins):
+            if n < 2 * m or (n == ap[n % m] and not any(self.contains(n - g) for g in mins)):
                 mins.append(n)
         self.minimal_generators: tuple[int, ...] = tuple(mins)
 
@@ -232,15 +245,59 @@ class NumericalSemigroup:
 def _apery(gens: Iterable[int], n: int) -> list[int]:
     """Least member of <gens> in each residue class mod ``n``, a member of <gens>.
 
-    Dijkstra on the residues mod n with the generators as edge weights
-    (Nijenhuis 1979).  A heap entry v stands for residue v % n; gcd 1
-    guarantees every class is reached.
+    When every step (a generator that is not a multiple of n) exceeds n, as
+    on the constructor's call with n = m, a window scan runs first.  Window j
+    holds the members in [jn, (j+1)n) as an n-bit int, bit i for jn + i.  A
+    member x = jn + i > 0 is x - n or x - g for a member x - g and a step
+    g = qn + t (q >= 1, 0 < t < n), and x - g lies in window j - q if i >= t,
+    in window j - q - 1 if i < t.  So window j is window j - 1 ORed with two
+    shifts of earlier windows per step, and the first window that holds
+    residue r gives Ap[r] = jn + r.  Each window is added into byte lanes in
+    one C-level pass over its bit string, so a residue held by c of the k
+    windows first appeared in window k - c.
+
+    The scan hands over once a window settles fewer than 2 residues, or once
+    it holds ``_WINDOWS`` windows or ``_SCAN_BITS`` bits.  Then every member
+    below kn is settled.  An unsettled Apery element is a step above an Apery
+    element, and the first such step up from a settled one leaves from the
+    last ceil(max step / n) windows.  So Dijkstra on the residues mod n with
+    the steps as edge weights (Nijenhuis 1979) finishes from those elements
+    alone.  A heap entry v stands for residue v % n; gcd 1 guarantees every
+    class is reached.  With a step below n only Dijkstra runs, from 0.
     """
     if n > TABLE_LIMIT:
         raise TableLimitError(f"an Apery set mod {n} exceeds {TABLE_LIMIT} residues")
     steps = [g for g in gens if g % n]
     dist: list = [0] + [math.inf] * (n - 1)
     heap = [0]
+    if steps and min(steps) > n:
+        mask = (1 << n) - 1
+        cap = min(_WINDOWS, _SCAN_BITS // n)
+        # a step of cap * n or more reaches no held window
+        reach = [(g // n, g % n) for g in steps if g < cap * n]
+        held = [0] * cap + [1]  # window 0 is {0}; the zeros stand for windows below it
+        lanes = 1  # byte r counts the held windows that hold residue r
+        while len(held) < 2 * cap:
+            hi = lo = 0
+            for q, t in reach:
+                hi |= held[-q] << t
+                lo |= held[-q - 1] >> (n - t)
+            prev = held[-1]
+            held.append(prev | hi & mask | lo)
+            lanes += int.from_bytes(bin(held[-1])[2:].encode().translate(_LANES), "big")
+            if (held[-1] ^ prev).bit_count() < 2:
+                break
+        # Dijkstra starts from the residues first held by the last ceil(max step / n)
+        # windows, and from none once the last window holds every residue
+        k = len(held) - cap
+        back = -(-max(steps) // n) if held[-1] != mask else 0
+        flags = bin(held[-1])[:1:-1].encode().translate(_LANES)
+        heap = []
+        for r, c in zip(compress(range(n), flags), compress(lanes.to_bytes(n, "little"), flags)):
+            dist[r] = v = (k - c) * n + r
+            if c <= back:
+                heap.append(v)
+        heapq.heapify(heap)
     while heap:
         w = heapq.heappop(heap)
         if w > dist[w % n]:

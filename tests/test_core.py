@@ -1,8 +1,16 @@
+import heapq
+import math
+import os
+import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from nsg import core
 from nsg.core import (
     TABLE_LIMIT,
     EmptyGeneratorsError,
@@ -14,6 +22,38 @@ from nsg.core import (
     ZeroGeneratorError,
     naturals,
 )
+from nsg.oracle import naive_stats
+
+
+def _dijkstra_apery(gens, n):
+    """Least member of <gens> per class mod n: plain Dijkstra from 0, the reference."""
+    dist = [0] + [math.inf] * (n - 1)
+    heap = [0]
+    while heap:
+        w = heapq.heappop(heap)
+        if w == dist[w % n]:
+            for g in gens:
+                v = w + g
+                if v < dist[v % n]:
+                    dist[v % n] = v
+                    heapq.heappush(heap, v)
+    return dist
+
+
+def _random_sets(rng, count, top):
+    """count sets of 1-8 generators up to top, most of them small; half lie in [m, 2m)."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 8)
+        size = round(top ** (rng.random() ** 2))
+        if rng.random() < 0.5:
+            gens = sorted({rng.randint(1, max(size, 2)) for _ in range(k)})
+        else:
+            m = max(size // 2, 2)
+            gens = sorted({m} | {rng.randint(m + 1, 2 * m - 1) for _ in range(k)})
+        if math.gcd(*gens) == 1:
+            out.append(gens)
+    return out
 
 
 def test_naturals():
@@ -198,3 +238,92 @@ def test_equality_and_hash():
     assert NumericalSemigroup([3, 4, 5, 7]) == NumericalSemigroup([5, 4, 3])
     assert hash(NumericalSemigroup([2, 3])) == hash(NumericalSemigroup([2, 3, 4]))
     assert NumericalSemigroup([2, 3]) != NumericalSemigroup([3, 4, 5])
+
+
+def test_apery_window_scan_matches_dijkstra():
+    rng = random.Random(20240519)
+    for gens in _random_sets(rng, 5000, 5000):
+        assert core._apery(gens, gens[0]) == _dijkstra_apery(gens, gens[0]), gens
+
+
+@pytest.mark.parametrize("windows", [1, 2, 3, 8])
+def test_apery_hands_over_to_dijkstra_at_any_window(monkeypatch, windows):
+    # a cap of 1 hands over before the first window; the others cut long scans short
+    monkeypatch.setattr(core, "_WINDOWS", windows)
+    rng = random.Random(windows)
+    for gens in _random_sets(rng, 300, 2000) + [[7, 8, 9], [50, 51, 52], [3, 5], [5, 7, 11, 13]]:
+        assert core._apery(gens, gens[0]) == _dijkstra_apery(gens, gens[0]), gens
+
+
+def test_apery_set_mod_a_member_other_than_m():
+    # some minimal generator lies below n, so only Dijkstra runs
+    rng = random.Random(7)
+    for gens in _random_sets(rng, 300, 400):
+        s = NumericalSemigroup(gens)
+        mins = s.minimal_generators
+        for n in {mins[-1], mins[0] + mins[-1], 2 * mins[0]}:
+            assert s.apery_set(n) == _dijkstra_apery(mins, n), (gens, n)
+
+
+def test_apery_extreme_shapes():
+    assert core._apery([1], 1) == [0]
+    # the only step is 2**40 windows up: the scan settles nothing and hands over at once
+    n = (1 << 41) + 1
+    assert core._apery([2, n], 2) == [0, n]
+    for n in (5, 64, 129, 1000):
+        # window j settles residues 2j - 1 and 2j, so n = 1000 reaches the window cap
+        expected = [(r + 1) // 2 * n + r for r in range(n)]
+        assert core._apery([n, n + 1, n + 2], n) == expected == _dijkstra_apery([n + 1, n + 2], n)
+
+
+def test_core_matches_oracle_on_generators_below_twice_the_multiplicity():
+    rng = random.Random(2)
+    for m in range(50, 301, 10):
+        for k in (2, 4, 7):
+            gens = sorted({m} | {rng.randint(m + 1, 2 * m - 1) for _ in range(k - 1)})
+            if math.gcd(*gens) != 1:
+                continue
+            s = NumericalSemigroup(gens)
+            assert s.minimal_generators == tuple(gens)
+            prof = s.pf_profile()
+            naive = naive_stats(gens)
+            assert s.frobenius == naive.frobenius, gens
+            assert list(prof.pf) == naive.pf, gens
+            assert prof.reduced_type == naive.reduced_type, gens
+            assert prof.extremality.value == naive.extremality_label, gens
+
+
+def test_apery_window_cap_bounds_time_and_memory():
+    # <n, n+1, n+2> settles two residues per window, so the scan runs to its cap
+    # (20 windows of n bits here) and Dijkstra finishes the other n - 40 residues.
+    # A fresh interpreter reads the peak as the growth of its peak RSS, since
+    # tracemalloc slows this many allocations some fifty times over.
+    code = (
+        "import resource, time; from nsg import core; n = 200_000\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "t0 = time.perf_counter(); ap = core._apery([n, n + 1, n + 2], n)\n"
+        "elapsed = time.perf_counter() - t0\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "assert ap[-1] == (n // 2) * n + n - 1 == max(ap)\n"
+        "print(elapsed, grown)"
+    )
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    elapsed, grown = out.stdout.split()
+    assert float(elapsed) < 2.0
+    assert int(grown) * 1024 < 16 * 2**20  # ru_maxrss is in KiB on Linux
+
+
+def test_generators_below_twice_the_multiplicity_need_no_member_test(monkeypatch):
+    calls = []
+    contains = NumericalSemigroup.contains
+    monkeypatch.setattr(
+        NumericalSemigroup, "contains", lambda self, x: calls.append(x) or contains(self, x)
+    )
+    gens = [300] + list(range(301, 600, 2))
+    assert NumericalSemigroup(gens).minimal_generators == tuple(gens)
+    assert calls == []
+    # 600 = 300 + 300 is the first that needs one
+    assert NumericalSemigroup([300, 301, 600]).minimal_generators == (300, 301)
