@@ -90,18 +90,24 @@ __all__ = [
     "verify_claim",
 ]
 
-# The verify harness (nsg.oracle) loads on first use of one of its names, so
-# that an `nsg` call that does not verify never compiles or imports it.
-_ORACLE_NAMES = frozenset(
-    {"VerificationReport", "naive_closure", "naive_pf", "naive_reduced_type", "verify_claim"}
-)
+# The verify harness (nsg.oracle) and its definitional engine (nsg.naive) load
+# on first use of one of their names, so that an `nsg` call that does not
+# verify never compiles or imports them; an engine name loads the engine only.
+_LAZY_NAMES = {
+    "VerificationReport": "oracle",
+    "naive_closure": "naive",
+    "naive_pf": "naive",
+    "naive_reduced_type": "naive",
+    "verify_claim": "oracle",
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -549,11 +549,13 @@ _STARTUP_PROBE = """
 import contextlib, io, json, sys
 import nsg, nsg.cli
 nsg.cli.build_parser()
-unused = ("nsg.oracle", "concurrent.futures", "multiprocessing")
+unused = ("nsg.oracle", "nsg.naive", "concurrent.futures", "multiprocessing")
 at_start = [m for m in unused if m in sys.modules]
+pf = nsg.naive_pf([3, 4, 5])
+after_engine = [m for m in unused if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = nsg.cli.main(["verify", "thm-3.1", "--grid", "smoke"])
-print(json.dumps({"at_start": at_start, "code": code,
+print(json.dumps({"at_start": at_start, "pf": pf, "after_engine": after_engine, "code": code,
                   "after_verify": [m for m in unused if m in sys.modules]}))
 """
 
@@ -568,5 +570,8 @@ def test_startup_loads_only_what_the_command_runs():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["at_start"] == []
+    # an engine name loads the engine, not the harness
+    assert seen["pf"] == [1, 2]
+    assert seen["after_engine"] == ["nsg.naive"]
     assert seen["code"] == 0
-    assert seen["after_verify"] == ["nsg.oracle"]
+    assert seen["after_verify"] == ["nsg.oracle", "nsg.naive"]

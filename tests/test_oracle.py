@@ -1,6 +1,6 @@
+import ast
 import dataclasses
 import gzip
-import inspect
 import json
 import math
 import multiprocessing.process
@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
+import nsg.core as core
+import nsg.naive as naive
 import nsg.oracle as oracle
 from nsg.constructions import Verdict
 from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup, SemigroupError
@@ -58,7 +60,7 @@ def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
     # a table that outgrows the cap on the way is refused too
-    monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
+    monkeypatch.setattr(naive, "FROBENIUS_CAP", 100)
     assert naive_frobenius([9, 10]) == 71  # F + m = 80 cells
     with pytest.raises(GridTooLargeError):
         naive_frobenius([12, 13])  # F + m = 143 cells
@@ -139,20 +141,20 @@ def test_generator_shortcut_equals_full_check():
                 x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
                 for x in range(top + 1)
             ]
-            naive = oracle.naive_duplication_stats(gens, e_gens, d)
-            assert naive.pf == oracle._pf_over_all_members(dup), (gens, e_gens, d)
+            naive_dup = oracle.naive_duplication_stats(gens, e_gens, d)
+            assert naive_dup.pf == naive._pf_over_all_members(dup), (gens, e_gens, d)
         done += 1
 
 
 def test_one_closure_per_call(monkeypatch):
     calls = []
-    closure = oracle._closure_bits
+    closure = naive._closure_bits
 
     def counting(gens, *args):
         calls.append(tuple(gens))
         return closure(gens, *args)
 
-    monkeypatch.setattr(oracle, "_closure_bits", counting)
+    monkeypatch.setattr(naive, "_closure_bits", counting)
     naive_stats([12, 15, 20, 23])
     assert calls == [(12, 15, 20, 23)]
     calls.clear()
@@ -165,7 +167,7 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     # once per distinct duplication; each answer costs exactly one closure
     monkeypatch.setenv("NSG_THREADS", "1")
     closures, stats_keys, dup_keys = [], [], []
-    closure, stats, dup_stats = oracle._closure_bits, oracle.naive_stats, oracle.naive_duplication_stats
+    closure, stats, dup_stats = naive._closure_bits, oracle.naive_stats, oracle.naive_duplication_stats
 
     def counting_closure(gens, *args):
         closures.append(tuple(sorted(set(gens))))
@@ -179,7 +181,7 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
         dup_keys.append((tuple(sorted(set(s_gens))), tuple(sorted(set(e_gens))), d))
         return dup_stats(s_gens, e_gens, d)
 
-    monkeypatch.setattr(oracle, "_closure_bits", counting_closure)
+    monkeypatch.setattr(naive, "_closure_bits", counting_closure)
     monkeypatch.setattr(oracle, "naive_stats", counting_stats)
     monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
     reports = verify_claim("all", {"preset": "smoke"})
@@ -199,13 +201,13 @@ def test_large_gas_grid_closes_each_semigroup_once(monkeypatch):
     # 6,168 distinct semigroups, more than a memo of 4,096 entries holds, each
     # asked under both readings: one run closes each of them once
     closures = []
-    closure = oracle._closure_bits
+    closure = naive._closure_bits
 
     def counting(gens, *args):
         closures.append(tuple(sorted(set(gens))))
         return closure(gens, *args)
 
-    monkeypatch.setattr(oracle, "_closure_bits", counting)
+    monkeypatch.setattr(naive, "_closure_bits", counting)
     reports = verify_claim("thm-3.1", {"preset": "full", "gas": (24, 3, 25, 8)})
     assert len(reports) == 2 * 6168
     assert len(closures) == len(set(closures)) == 6168
@@ -317,7 +319,9 @@ def test_memo_is_bounded(monkeypatch):
 
 
 def test_memo_does_not_cache_errors(monkeypatch):
-    monkeypatch.setattr(oracle, "FROBENIUS_CAP", 100)
+    # the cap has one home: a copy on the harness side would not move with it
+    assert not hasattr(oracle, "FROBENIUS_CAP")
+    monkeypatch.setattr(naive, "FROBENIUS_CAP", 100)
     with oracle.verify_run() as memo:
         for _ in range(2):
             with pytest.raises(GridTooLargeError):
@@ -357,48 +361,29 @@ def test_gas_grid_hands_out_fresh_instances():
     assert len(again) == len(first) - 1
 
 
-def _engine_functions() -> list:
-    """The functions and methods defined from ``_validate`` through ``naive_duplication_stats``."""
-    first = oracle._validate.__code__.co_firstlineno
-    last = oracle.naive_duplication_stats.__code__.co_firstlineno
-    found = []
-    for obj in vars(oracle).values():
-        if getattr(obj, "__module__", None) != oracle.__name__:
-            continue
-        if inspect.isfunction(obj):
-            found.append(obj)
-        elif inspect.isclass(obj):
-            found += [
-                getattr(member, "fget", member)
-                for member in vars(obj).values()
-                if inspect.isfunction(member) or isinstance(member, property)
-            ]
-    return [f for f in found if first <= f.__code__.co_firstlineno <= last]
-
-
 def test_oracle_engine_reaches_no_closed_form():
-    # the engine is the independent side of the harness: from the core it may
-    # raise the error classes only, and it reaches neither the constructions nor
-    # the families, however deep its calls into the rest of the module go
-    engine = _engine_functions()
-    assert {oracle._validate, oracle._closure_bits, oracle.naive_duplication_stats} <= set(engine)
-    assert oracle.NaiveStats.extremality_label.fget in engine
-    todo = [f.__code__ for f in engine]
-    seen = set()
-    while todo:
-        code = todo.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        todo += [const for const in code.co_consts if inspect.iscode(const)]
-        for name in code.co_names:
-            assert name not in ("cons", "fam"), (code.co_name, name)
-            obj = getattr(oracle, name, None)
-            owner = getattr(obj, "__module__", None)
-            if owner == "nsg.core":
-                assert inspect.isclass(obj) and issubclass(obj, SemigroupError), (code.co_name, name)
-            elif owner == oracle.__name__ and inspect.isfunction(obj):
-                todo.append(obj.__code__)
+    # the engine is the independent side of the harness: it imports the
+    # standard library and, from the core, the error classes only, so it
+    # reaches neither the Apery core nor the constructions nor the families
+    tree = ast.parse(Path(naive.__file__).read_text())
+    relative = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.partition(".")[0] in sys.stdlib_module_names, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert node.module.partition(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.level, node.module) == (1, "core"), ast.unparse(node)
+            relative += [alias.name for alias in node.names]
+    assert relative
+    for name in relative:
+        obj = getattr(core, name)
+        assert isinstance(obj, type) and issubclass(obj, SemigroupError), name
+    # and every engine name the harness holds is the engine's own object, not a copy
+    shared = {name for name in vars(naive) if not name.startswith("__")} & set(vars(oracle))
+    assert {"naive_stats", "naive_duplication_stats", "GridTooLargeError"} <= shared
+    assert all(vars(oracle)[name] is vars(naive)[name] for name in shared)
 
 
 def test_naive_duplication_stats():
