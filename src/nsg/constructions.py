@@ -308,8 +308,16 @@ class SemigroupIdeal:
         frob = self.tilde_frobenius
         # 1 .. e - 1 are gaps, so F >= e - 1 and the window starts at 0 or
         # above; 0 is in E u {0} but not in E, so it is left out
-        window = range(max(1, frob - self.min_element + 1), frob + 1)
-        return sum(not self.contains(x) for x in window)
+        lo = max(1, frob - self.min_element + 1)
+        m = self.ambient.multiplicity
+        # the gaps of E in class r are the x = r mod m below its least element
+        # there, so only a class whose least element passes lo has gaps in the
+        # window: count those in [lo, min(F, least - 1)] by floor division
+        return sum(
+            (min(frob, least - 1) - r) // m - (lo - 1 - r) // m
+            for r, least in enumerate(self._least)
+            if least > lo
+        )
 
     def ambient_outside_tilde(self) -> list[int]:
         """The finite set S \\ (E u {0}).

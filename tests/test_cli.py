@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -126,6 +127,12 @@ def test_glue_example():
     assert rec["generators"] == [35, 42, 49, 26]
     assert rec["maximal_sufficient"] is False  # yet extremality is maximal
     assert rec["extremality"] == "maximal"
+    # <5,6,13> is not of maximal reduced type, so the criterion cannot apply
+    code, out, _ = run_cli(
+        "glue", "--s1", "5,6,13", "--s2", "2,3", "--lambda", "7", "--mu", "10", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["maximal_sufficient"] == "not-applicable"
 
 
 def test_glue_validation_error_names_the_error():
@@ -166,6 +173,22 @@ def test_dup_star():
     assert rec["max_star"] is False
 
 
+def test_dup_proper_ideals_of_n_match_the_oracle():
+    # over N = <1> the ideal's table mod m has one class, and the scan for
+    # maximal classes has no step to test
+    for ideal, d in (([2], 1), ([3, 4], 5)):
+        ideal_arg = ",".join(map(str, ideal))
+        code, out, _ = run_cli("dup", "--gens", "1", "--ideal", ideal_arg, "--d", str(d), "--json")
+        assert code == 0, ideal
+        rec = json.loads(out)
+        assert rec["ideal_kind"] == "proper"
+        naive = oracle.naive_duplication_stats([1], ideal, d)
+        assert (rec["pf"], rec["type"], rec["frobenius"]) == (
+            naive.pf, naive.cm_type, naive.frobenius
+        ), ideal
+        assert rec["pf_closed_form"] == naive.pf, ideal
+
+
 def test_large_proper_ideal_dup_builds_only_s_and_the_duplication(monkeypatch):
     # stdout sha256 of each record; the proper-ideal closed forms read E~ off
     # the ideal's table mod m(S), so no semigroup of multiplicity min E is built
@@ -176,6 +199,9 @@ def test_large_proper_ideal_dup_builds_only_s_and_the_duplication(monkeypatch):
          "5e9a6fdd1e4084d81a4fb27fbf00af904861a7d6da1431b509058e32eec4e8a9"),
         ("dup --gens 97,135,159 --ideal 97 --d 135 --json",
          "af4e7b8214bd1ef8c9b9785347c4ae845940ae5ca2a181d41f6a2adf247cc982"),
+        # the reduced type of E~ is counted per class mod m, not per integer below min E
+        ("dup --gens 2,3 --ideal 1000000000000 --d 3 --json",
+         "cc151ee368b8966d4f99ca8cff527e2009f6e2de2f514676f2133e16ae98a1f7"),
     ]
     builds = []
     init = NumericalSemigroup.__init__
@@ -184,7 +210,9 @@ def test_large_proper_ideal_dup_builds_only_s_and_the_duplication(monkeypatch):
     )
     for line, digest in pinned:
         builds.clear()
+        t0 = time.perf_counter()
         code, out, _ = run_cli(*line.split())
+        assert time.perf_counter() - t0 < 1.0, line
         assert code == 0, line
         assert hashlib.sha256(out.encode()).hexdigest() == digest, line
         assert len(builds) == 2, line
@@ -240,6 +268,7 @@ def test_verify_refused_run_leaves_out_file_alone(tmp_path, monkeypatch):
         ("abc", ("thm-3.8",), "InvalidParamError"),
         ("", ("thm-3.8", "--h-max", "100000"), "GridTooLargeError"),
         ("", ("all", "--grid", "smoke", "--h-max", "100000"), "GridTooLargeError"),
+        ("", ("remark-5.3", "--r-max", "246"), "GridTooLargeError"),
     ):
         monkeypatch.setenv("NSG_THREADS", threads)
         code, out, err = run_cli("verify", *argv, "--out", str(path))
@@ -316,6 +345,10 @@ def test_verify_modes_differ_in_exit_code():
     code_proof, _, _ = run_cli("verify", "prop-3.3", "--mode", "AsProof", "--grid", "smoke")
     assert code_stated == 2
     assert code_proof == 0
+    code_stated, _, _ = run_cli("verify", "thm-3.1", "--variant", "AsStated", "--grid", "smoke")
+    code_corrected, _, _ = run_cli("verify", "thm-3.1", "--variant", "Corrected", "--grid", "smoke")
+    assert code_stated == 2
+    assert code_corrected == 0
 
 
 def test_verify_adjudication_names_the_winner():
@@ -415,6 +448,9 @@ def test_family_with_oversized_r_exits_1():
 def test_sweep_bad_range_syntax():
     code, _, _ = run_cli("sweep", "uniform-type", "--r-range", "1-8")
     assert code == 1
+    code, _, err = run_cli("sweep", "uniform-type", "--r-range", "1:5:0")
+    assert code == 1
+    assert "range step must be positive" in err
 
 
 def test_sweep_missing_flags():
@@ -498,6 +534,30 @@ def test_family_and_sweep_output_is_pinned(tmp_path):
         if argv[0] == "sweep":
             assert run_cli(*argv, "--out", str(path)) == (code, "", "")
             assert path.read_text() == out
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The argv of every ``nsg ...`` line in README's ``sh`` blocks, trailing comments dropped."""
+    lines, in_sh = [], False
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("nsg "):
+            lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an example's --out lands here
+    monkeypatch.delenv("NSG_THREADS", raising=False)
+    examples = _readme_cli_lines()
+    assert len(examples) >= 12
+    for argv in examples:
+        code, out, err = run_cli(*argv)
+        assert code == 0, (argv, err)
+        if "--out" in argv:
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+        assert out, argv
 
 
 def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:

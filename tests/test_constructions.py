@@ -5,7 +5,7 @@ import pytest
 
 import nsg.constructions as cons
 import nsg.oracle as oracle
-from nsg.core import Extremality, GcdNotOneError, NumericalSemigroup, naturals
+from nsg.core import EmptyGeneratorsError, Extremality, GcdNotOneError, NumericalSemigroup, naturals
 from nsg.constructions import (
     DNotInSError,
     DNotOddError,
@@ -46,6 +46,8 @@ def test_gluing_spec_validation():
         GluingSpec(S567, naturals(), lam=6, mu=10)
     with pytest.raises(LambdaNotInS2Error):
         GluingSpec(naturals(), S345, lam=2, mu=2)
+    with pytest.raises(cons.InvalidParamError):
+        GluingSpec(S567, naturals(), lam=0, mu=26)  # lambda below 1
 
 
 def test_glue_examples():
@@ -140,6 +142,8 @@ def test_nice_extension_errors():
         cons.nice_extension(S345, 2, [2, 0, 0])  # gcd(2, 6) = 2
     with pytest.raises(cons.InvalidParamError):
         cons.nice_extension(S345, 2, [1, 1])  # wrong arity
+    with pytest.raises(cons.InvalidParamError, match="p must be positive"):
+        cons.nice_extension(S345, 0, [1, 1, 0])
 
 
 # --- ideals
@@ -158,6 +162,12 @@ def test_ideal_kinds():
     assert cons.ideal_star(S345).kind is IdealKind.STAR
     # explicit generators detecting S* without being told
     assert SemigroupIdeal(S345, [3, 4, 5]).kind is IdealKind.STAR
+    # a proper ideal of N is {k, k+1, ...}: E u {0} has F = k - 1 and k - 1 gaps in (F - k, F]
+    for k in (2, 3, 7):
+        e = SemigroupIdeal(naturals(), [k])
+        assert e.kind is IdealKind.PROPER
+        assert e.tilde_frobenius == k - 1
+        assert e.tilde_reduced_type == k - 1 == e.tilde.pf_profile().reduced_type
 
 
 def test_ideal_membership_and_outside():
@@ -174,6 +184,8 @@ def test_ideal_errors():
         SemigroupIdeal(S345, [2])
     with pytest.raises(GeneratorNotInAmbientError):
         SemigroupIdeal(S345, [-3])
+    with pytest.raises(EmptyGeneratorsError):
+        SemigroupIdeal(S345, [])
 
 
 # --- duplication

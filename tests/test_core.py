@@ -80,10 +80,12 @@ def test_redundant_generator_removed():
 
 
 def test_construction_errors():
-    with pytest.raises(EmptyGeneratorsError):
-        NumericalSemigroup([])
-    with pytest.raises(ZeroGeneratorError):
-        NumericalSemigroup([0, 3])
+    # the core and the oracle refuse the same generator lists
+    for build in (NumericalSemigroup, naive_stats):
+        with pytest.raises(EmptyGeneratorsError):
+            build([])
+        with pytest.raises(ZeroGeneratorError):
+            build([0, 3])
     with pytest.raises(GcdNotOneError, match="gcd is not 1"):
         NumericalSemigroup([4, 6])
 

@@ -400,6 +400,8 @@ def test_naive_duplication_stats():
 def test_unknown_claim():
     with pytest.raises(UnknownClaimError):
         verify_claim("thm-9.9")
+    with pytest.raises(UnknownClaimError, match="preset"):
+        oracle.claim_instances("thm-3.8", {"preset": "bogus"})
 
 
 def test_grid_too_large():
@@ -544,13 +546,16 @@ def test_equality_judge_reports_a_wrong_oracle(monkeypatch, claim):
 
 
 def test_one_way_judges_fail_only_on_a_contradiction():
-    sufficient = oracle._ONE_WAY_JUDGES["prop-4.3"]
+    sufficient = oracle._CLAIMS["prop-4.3"].judge
     for condition in (True, False, "not-applicable"):
         for maximal in (True, False):
             ok = sufficient([condition], [maximal])
             assert ok is ((condition, maximal) != (True, False)), (condition, maximal)
     assert sufficient(["not-applicable"], [])  # what the check reports when it cannot apply
-    sound = oracle._ONE_WAY_JUDGES["thm-5.4"]
+    # no gluing-pool factor leaves the criterion's hypothesis; <5,6,13> does
+    rep = oracle.run_instance("prop-4.3", {"s1": [5, 6, 13], "s2": [2, 3], "lambda": 7, "mu": 10})
+    assert (rep.closed_form, rep.oracle, rep.match) == (["not-applicable"], [], True)
+    sound = oracle._CLAIMS["thm-5.4"].judge
     contradictions = {("True", False), ("SufficientOnly-True", False), ("False", True)}
     for verdict in Verdict:
         for minimal in (True, False):

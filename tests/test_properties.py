@@ -190,6 +190,22 @@ def test_ideal_matches_pointwise_brute_force(args):
     ]
 
 
+def _window_reduced_type(e: cons.SemigroupIdeal) -> int:
+    """Reduced type of E u {0}, one member test per integer of (F - min E, F]: the reference."""
+    frob = e.tilde_frobenius
+    return sum(not e.contains(x) for x in range(max(1, frob - e.min_element + 1), frob + 1))
+
+
+@given(ideals(), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_tilde_reduced_type_matches_the_window_count(args, shift):
+    s, e_gens = args
+    # a multiple of m added to each generator keeps it in S and moves min E up
+    e = cons.SemigroupIdeal(s, [g + shift * s.multiplicity for g in e_gens])
+    assume(e.kind is cons.IdealKind.PROPER)
+    assert e.tilde_reduced_type == _window_reduced_type(e)
+
+
 @given(ideals(), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_duplication_matches_oracle(args, idx):
