@@ -222,8 +222,8 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
     tail = ["frobenius", "type", "reduced_type", "extremality"]
 
     def stats(sg: NumericalSemigroup) -> list:
-        prof = sg.pf_profile()
-        return [sg.frobenius, prof.cm_type, prof.reduced_type, prof.extremality.value]
+        record = analysis_record(sg)
+        return [record[key] for key in tail]
 
     if args.target == "dup-self":
         if args.gens is None or args.d_range is None:

@@ -105,12 +105,17 @@ class GluingSpec:
     def __repr__(self) -> str:
         return f"GluingSpec({self.s1}, {self.s2}, lambda={self.lam}, mu={self.mu})"
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """lambda*mingens(S1), then mu*mingens(S2), in that order."""
+        return tuple(self.lam * g for g in self.s1.minimal_generators) + tuple(
+            self.mu * g for g in self.s2.minimal_generators
+        )
+
 
 def glue(spec: GluingSpec) -> NumericalSemigroup:
     """<lambda*gens(S1), mu*gens(S2)>; the scaled set must come out minimal."""
-    gens = tuple(spec.lam * g for g in spec.s1.minimal_generators) + tuple(
-        spec.mu * g for g in spec.s2.minimal_generators
-    )
+    gens = spec.generators
     sg = NumericalSemigroup(gens)
     if len(set(gens)) != len(gens) or sg.minimal_generators != tuple(sorted(gens)):
         raise NotMinimalSequenceError(

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from . import constructions as cons
 from . import families as fam
 from . import naive
-from .core import InvalidParamError, NumericalSemigroup, SemigroupError
+from .core import InvalidParamError, NumericalSemigroup, SemigroupError, naturals
 from .naive import GridTooLargeError, NaiveStats, naive_duplication_stats, naive_stats
 
 # Read by perfbench/tracing.py, which wraps each as oracle.__dict__[name]; they go with its patch table.
@@ -229,11 +229,8 @@ def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...
     """The valid (n0, s, d, p) under ``bounds``.
 
     Every candidate passes the Frobenius cap first.  Minimality is decided by
-    arithmetic, with no semigroup built: n0, s*n0 + d, ..., s*n0 + p*d with
-    gcd(n0, d) = 1 is a minimal generating set iff p < n0.  For p >= n0 the
-    term s*n0 + n0*d is (s + d)*n0; for p < n0, any other way of writing
-    s*n0 + i*d forces (i - sum i_j)*d = ((t - 1)*s + c)*n0 > 0, so n0 divides
-    i - sum i_j and i >= n0 (see ``GasParams.is_minimal_sequence``).
+    arithmetic (p < n0, see ``GasParams.is_minimal_sequence``), with no
+    semigroup built.
     """
     n0_max, s_max, d_max, p_max = bounds
     out = []
@@ -298,10 +295,8 @@ def _gluing_instances(grid: dict) -> list[dict]:
                 for lam in _nongen_members(s2, per):
                     if math.gcd(lam, mu) != 1:
                         continue
-                    _cap(
-                        lam * s1.frobenius + mu * s2.frobenius + lam * mu,
-                        f"gluing lam={lam} mu={mu}",
-                    )
+                    spec = cons.GluingSpec(s1, s2, lam, mu)
+                    _cap(cons.gluing_frobenius_closed(spec), f"gluing lam={lam} mu={mu}")
                     out.append(
                         {
                             "s1": list(s1.minimal_generators),
@@ -326,10 +321,8 @@ def _nice_ext_instances(grid: dict) -> list[dict]:
             for p in range(2, min(sum(coeffs), 2 + 2 * grid["glue_per"]) + 1):
                 if math.gcd(p, target) != 1:
                     continue
-                _cap(
-                    p * s.frobenius - target + p * target,
-                    f"nice extension p={p} target={target}",
-                )
+                spec = cons.GluingSpec(s, naturals(), p, target)
+                _cap(cons.gluing_frobenius_closed(spec), f"nice extension p={p} target={target}")
                 out.append({"s": list(gens), "p": p, "coeffs": coeffs})
     return out
 
@@ -403,10 +396,16 @@ def _cap_work(what: str, work_of: Callable[[int], int], rs: range) -> None:
             )
 
 
-def _r_instances(what: str, frobenius_of: Callable[[int], int], grid: dict) -> list[dict]:
+def _r_instances(name: str, grid: dict) -> list[dict]:
+    family = fam.FAMILIES[name]
     rs = range(1, grid["r_max"] + 1)
-    # r + 1 generators and multiplicity r + 1 at every r
-    _cap_work(what, lambda r: (r + 1) * (frobenius_of(r) + r + 1), rs)
+
+    def work(r: int) -> int:
+        # the family's generator count, multiplicity and closed-form F at r
+        gens = family.generators(r)
+        return len(gens) * (family.pf_closed(r)[-1] + min(gens))
+
+    _cap_work(name, work, rs)
     return [{"r": r} for r in rs]
 
 
@@ -480,13 +479,6 @@ def _gluing_spec(inst: dict) -> cons.GluingSpec:
     )
 
 
-def _glued_gens(spec: cons.GluingSpec) -> list[int]:
-    return sorted(
-        [spec.lam * g for g in spec.s1.minimal_generators]
-        + [spec.mu * g for g in spec.s2.minimal_generators]
-    )
-
-
 def _check_gluing_pf(inst: dict) -> Check:
     spec = _gluing_spec(inst)
     closed = [
@@ -494,7 +486,7 @@ def _check_gluing_pf(inst: dict) -> Check:
         len(spec.s1.pf_set()) * len(spec.s2.pf_set()),
         cons.gluing_frobenius_closed(spec),
     ]
-    stats = _oracle_stats(_glued_gens(spec))
+    stats = _oracle_stats(spec.generators)
     return "", closed, [list(stats.pf), stats.cm_type, stats.frobenius]
 
 
@@ -504,15 +496,14 @@ def _check_gluing_maximal(inst: dict) -> Check:
         condition = cons.gluing_maximal_sufficient(spec)
     except cons.NotApplicableError:
         return "", ["not-applicable"], []
-    return "", [condition], [_oracle_stats(_glued_gens(spec)).is_maximal]
+    return "", [condition], [_oracle_stats(spec.generators).is_maximal]
 
 
 def _check_nice_extension(inst: dict) -> Check:
     s = _semigroup(inst["s"])
     spec = cons.nice_extension(s, inst["p"], inst["coeffs"])
     base_max = s.pf_profile().extremality.is_maximal
-    ext_gens = sorted([inst["p"] * g for g in s.minimal_generators] + [spec.mu])
-    return "", [base_max], [_oracle_stats(ext_gens).is_maximal]
+    return "", [base_max], [_oracle_stats(spec.generators).is_maximal]
 
 
 def _dup_spec(inst: dict) -> cons.DuplicationSpec:
@@ -620,11 +611,11 @@ _CLAIMS: dict[str, _Claim] = {
     "prop-5.7": _Claim(_dup_self_instances, partial(_check_dup_maximal, False)),
     "prop-5.9": _Claim(_dup_self_instances, partial(_check_dup_maximal, True)),
     "remark-5.3": _Claim(
-        partial(_r_instances, "uniform-type", lambda r: r),
+        partial(_r_instances, "uniform-type"),
         partial(_check_fixed_type, "uniform-type", "is_maximal"),
     ),
     "remark-5.5": _Claim(
-        partial(_r_instances, "staircase", lambda r: r * (r + 2)),
+        partial(_r_instances, "staircase"),
         partial(_check_fixed_type, "staircase", "is_minimal"),
     ),
     "remark-5.8": _Claim(_dup_uniform_instances, _check_dup_uniform_type),

@@ -14,7 +14,8 @@ import nsg.families as fam
 import nsg.oracle as oracle
 from conftest import run_cli
 from nsg.core import Extremality, NumericalSemigroup
-from nsg.oracle import naive_pf, naive_reduced_type, verify_claim
+from nsg.naive import naive_pf, naive_reduced_type
+from nsg.oracle import verify_claim
 
 # minimal generator tuples of every semigroup instantiated by criteria 1-6
 _UNIVERSE: dict[tuple[int, ...], None] = {}
@@ -143,13 +144,9 @@ def _c2_closed_vs_oracle() -> dict:
     return out
 
 
-def _glued(inst: dict) -> list[int]:
-    s1 = NumericalSemigroup(inst["s1"])
-    s2 = NumericalSemigroup(inst["s2"])
-    return sorted(
-        [inst["lambda"] * g for g in s1.minimal_generators]
-        + [inst["mu"] * g for g in s2.minimal_generators]
-    )
+def _glued(inst: dict) -> tuple[int, ...]:
+    s1, s2 = NumericalSemigroup(inst["s1"]), NumericalSemigroup(inst["s2"])
+    return cons.GluingSpec(s1, s2, inst["lambda"], inst["mu"]).generators
 
 
 def _dup_mingens(inst: dict) -> tuple[int, ...]:

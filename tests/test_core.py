@@ -22,7 +22,7 @@ from nsg.core import (
     ZeroGeneratorError,
     naturals,
 )
-from nsg.oracle import naive_stats
+from nsg.naive import naive_stats
 
 
 def _dijkstra_apery(gens, n):

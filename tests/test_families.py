@@ -12,7 +12,7 @@ from nsg.core import (
     NumericalSemigroup,
     TableLimitError,
 )
-from nsg.oracle import naive_pf
+from nsg.naive import naive_pf
 
 
 # --- generalized arithmetic sequences

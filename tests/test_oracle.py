@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import gzip
+import importlib
 import json
 import math
 import multiprocessing.process
@@ -18,19 +19,20 @@ import nsg.naive as naive
 import nsg.oracle as oracle
 from nsg.constructions import Verdict
 from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup, SemigroupError
-from nsg.oracle import (
+from nsg.naive import (
     GridTooLargeError,
-    UnknownClaimError,
     naive_closure,
+    naive_duplication_stats,
     naive_frobenius,
     naive_pf,
     naive_pf_full,
     naive_reduced_type,
     naive_stats,
-    verify_claim,
 )
+from nsg.oracle import UnknownClaimError, verify_claim
 
 SMOKE_JSONL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify-smoke.jsonl.gz"
+FULL_JSONL = SMOKE_JSONL.with_name("verify-full.jsonl.gz")
 
 
 def test_naive_closure():
@@ -67,9 +69,9 @@ def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
     with pytest.raises(GridTooLargeError):
         naive_closure([2, 3], 200)
     # and so is a duplication table past it, though the closure of S is small
-    assert oracle.naive_duplication_stats([2, 3], [0], 41).frobenius == 43
+    assert naive_duplication_stats([2, 3], [0], 41).frobenius == 43
     with pytest.raises(GridTooLargeError):
-        oracle.naive_duplication_stats([2, 3], [0], 1001)
+        naive_duplication_stats([2, 3], [0], 1001)
 
 
 def test_large_closure_is_cheap():
@@ -141,7 +143,7 @@ def test_generator_shortcut_equals_full_check():
                 x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
                 for x in range(top + 1)
             ]
-            naive_dup = oracle.naive_duplication_stats(gens, e_gens, d)
+            naive_dup = naive_duplication_stats(gens, e_gens, d)
             assert naive_dup.pf == naive._pf_over_all_members(dup), (gens, e_gens, d)
         done += 1
 
@@ -158,7 +160,7 @@ def test_one_closure_per_call(monkeypatch):
     naive_stats([12, 15, 20, 23])
     assert calls == [(12, 15, 20, 23)]
     calls.clear()
-    oracle.naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
+    naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
     assert calls == [(3, 4, 5)]
 
 
@@ -387,11 +389,11 @@ def test_oracle_engine_reaches_no_closed_form():
 
 
 def test_naive_duplication_stats():
-    stats = oracle.naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
+    stats = naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
     assert stats.pf == [2, 4, 15, 17, 19]
     assert stats.frobenius == 19
     assert not stats.is_maximal and not stats.is_minimal
-    stats = oracle.naive_duplication_stats([5, 6, 7], [0], 7)
+    stats = naive_duplication_stats([5, 6, 7], [0], 7)
     assert stats.pf == [23, 25]
     assert stats.is_maximal
     assert stats.extremality_label == "maximal"
@@ -432,6 +434,31 @@ def test_r_grids_are_capped_by_work(monkeypatch):
             assert len(oracle.claim_instances(claim, {"r_max": largest})) == largest
     monkeypatch.undo()
     assert len(oracle.claim_instances("remark-5.8", {"r_max": 118})) == 3 * 115
+
+
+def test_gluing_grids_are_capped_by_the_gluing_frobenius(monkeypatch):
+    # both pools estimate F with the gluing's closed form, a nice extension
+    # as the gluing of S with N, and refuse at the first instance past the cap
+    full = {"preset": "full"}
+    monkeypatch.setattr(naive, "FROBENIUS_CAP", 20)
+    with pytest.raises(GridTooLargeError) as err:
+        oracle.claim_instances("cor-4.2", full)
+    assert str(err.value) == "gluing lam=7 mu=4: estimated Frobenius number 25 exceeds 20"
+    with pytest.raises(GridTooLargeError) as err:
+        oracle.claim_instances("cor-4.6", full)
+    assert str(err.value) == "nice extension p=4 target=9: estimated Frobenius number 31 exceeds 20"
+    monkeypatch.setattr(naive, "FROBENIUS_CAP", 200)
+    with pytest.raises(GridTooLargeError) as err:
+        oracle.claim_instances("cor-4.2", full)
+    assert str(err.value) == "gluing lam=13 mu=8: estimated Frobenius number 202 exceeds 200"
+    assert len(oracle.claim_instances("cor-4.6", full)) == 64
+
+
+def test_full_grid_matches_golden_jsonl():
+    with gzip.open(FULL_JSONL, "rt") as fh:
+        golden = fh.read().splitlines()
+    assert len(golden) == 12192
+    assert [r.json_line() for r in verify_claim("all", {"preset": "full"})] == golden
 
 
 def test_smoke_grid_matches_golden_jsonl(monkeypatch):
@@ -582,11 +609,10 @@ def test_oracle_agrees_with_core_on_touched_semigroups():
 def test_oracle_names_resolve_lazily_from_the_package():
     import nsg
 
-    lazy = ["VerificationReport", "naive_closure", "naive_pf", "naive_reduced_type", "verify_claim"]
     for name in nsg.__all__:
         assert getattr(nsg, name) is not None
-    for name in lazy:
-        assert getattr(nsg, name) is getattr(oracle, name)
+    for name, module in nsg._LAZY_NAMES.items():
+        assert getattr(nsg, name) is getattr(importlib.import_module(f"nsg.{module}"), name)
     star: dict = {}
     exec("from nsg import *", star)
     assert set(nsg.__all__) <= set(star)

@@ -7,8 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nsg.constructions as cons
-import nsg.oracle as oracle
 from nsg.core import NumericalSemigroup
+from nsg.naive import (
+    naive_closure,
+    naive_duplication_stats,
+    naive_pf,
+    naive_reduced_type,
+    naive_stats,
+)
 
 
 @st.composite
@@ -22,7 +28,7 @@ def generator_lists(draw):
 @settings(max_examples=80, deadline=None)
 def test_pf_dual_path(gens):
     s = NumericalSemigroup(gens)
-    assert s.pf_set() == oracle.naive_pf(gens)
+    assert s.pf_set() == naive_pf(gens)
 
 
 @given(generator_lists())
@@ -30,7 +36,7 @@ def test_pf_dual_path(gens):
 def test_reduced_type_dual_path_and_bounds(gens):
     s = NumericalSemigroup(gens)
     prof = s.pf_profile()
-    assert prof.reduced_type == oracle.naive_reduced_type(gens)
+    assert prof.reduced_type == naive_reduced_type(gens)
     assert 1 <= prof.reduced_type <= prof.cm_type
     assert (prof.extremality.is_maximal and prof.extremality.is_minimal) == (
         prof.cm_type == 1
@@ -53,7 +59,7 @@ def test_apery_readout_matches_member_test_and_oracle(gens):
     frob, m = s.frobenius, s.multiplicity
     window_gaps = sum(not s.contains(x) for x in range(frob - m + 1, frob + 1))
     assert s.pf_profile().reduced_type == window_gaps
-    assert s.pf_set() == oracle.naive_pf(gens)
+    assert s.pf_set() == naive_pf(gens)
     assert s.genus == sum(not s.contains(x) for x in range(frob + 1))
 
 
@@ -110,11 +116,11 @@ def test_core_matches_oracle_at_large_multiplicity(gens):
     s = NumericalSemigroup(gens)
     assume(s.frobenius <= 20_000)  # keeps the definitional scans cheap
     frob, m = s.frobenius, s.multiplicity
-    table = oracle.naive_closure(gens, frob + m)
+    table = naive_closure(gens, frob + m)
     assert [s.contains(x) for x in range(frob + m + 1)] == table
     assert s.genus == table.count(False)
-    assert s.pf_set() == oracle.naive_pf(gens)
-    assert s.pf_profile().reduced_type == oracle.naive_reduced_type(gens)
+    assert s.pf_set() == naive_pf(gens)
+    assert s.pf_profile().reduced_type == naive_reduced_type(gens)
 
 
 # every generator set of at most three elements in [1, 12] with gcd 1
@@ -145,7 +151,7 @@ def gluings(draw):
 @settings(max_examples=60, deadline=None)
 def test_glue_matches_oracle(spec):
     glued = cons.glue(spec)
-    naive = oracle.naive_stats(glued.minimal_generators)
+    naive = naive_stats(glued.minimal_generators)
     assert glued.pf_set() == naive.pf == cons.gluing_pf(spec)
     assert glued.frobenius == naive.frobenius == cons.gluing_frobenius_closed(spec)
     assert glued.pf_profile().reduced_type == naive.reduced_type
@@ -171,7 +177,7 @@ def test_ideal_matches_pointwise_brute_force(args):
     e = cons.SemigroupIdeal(s, e_gens)
     # E is cofinite from min(E) + F(S) + 1 on; check one multiplicity past it
     top = min(e_gens) + s.frobenius + s.multiplicity + 1
-    in_s = oracle.naive_closure(s.minimal_generators, top)
+    in_s = naive_closure(s.minimal_generators, top)
     in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
     gaps_e = [x for x in range(top + 1) if not in_e[x]]
     conductor = gaps_e[-1] + 1 if gaps_e else 0
@@ -212,7 +218,7 @@ def test_duplication_matches_oracle(args, idx):
     s, e_gens = args
     d = _nth_odd_member(s, idx)
     dup = cons.duplicate(cons.DuplicationSpec(s, cons.SemigroupIdeal(s, e_gens), d))
-    naive = oracle.naive_duplication_stats(s.minimal_generators, e_gens, d)
+    naive = naive_duplication_stats(s.minimal_generators, e_gens, d)
     assert dup.pf_set() == naive.pf
     assert dup.frobenius == naive.frobenius
     assert dup.pf_profile().reduced_type == naive.reduced_type
