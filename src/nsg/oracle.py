@@ -18,6 +18,7 @@ tuple, an ideal per (generators, ideal generators), a GAS instance per
 ends.  Its oracle answers are immutable, with PF as a tuple, so a lookup
 hands out the stored answer with no copy.  Outside a run the checks compute
 afresh, and direct ``naive_*`` calls are never cached and return PF lists.
+Each report is one JSON line, written by one encoder built per process.
 """
 
 from __future__ import annotations
@@ -56,8 +57,18 @@ class UnknownClaimError(SemigroupError):
 # Verification reports
 
 
-# one encoder for every report line, with json.dumps's default settings
-_encode_json = json.JSONEncoder().encode
+def _line_encoder() -> Callable[[object, int], Iterable[str]]:
+    """The encoder of every report line, built once (``JSONEncoder.encode`` builds one per
+    call) with json.dumps's settings and no circular-reference markers, since report values
+    are acyclic; ``encode(obj, 0)`` yields a line's chunks."""
+    make = json.encoder.c_make_encoder
+    if make is None:  # no _json accelerator: the pure-Python encoder
+        return json.JSONEncoder(check_circular=False).iterencode
+    ascii_str = json.encoder.encode_basestring_ascii
+    return make(None, json.JSONEncoder().default, ascii_str, None, ": ", ", ", False, False, True)
+
+
+_encode_json = _line_encoder()
 
 
 @dataclass
@@ -70,15 +81,14 @@ class VerificationReport:
     elapsed: float = field(default=0.0, compare=False)
 
     def json_line(self) -> str:
-        return _encode_json(
-            {
-                "claim": self.claim,
-                "instance": self.instance,
-                "match": self.match,
-                "closed_form": self.closed_form,
-                "oracle": self.oracle,
-            }
-        )
+        line = {
+            "claim": self.claim,
+            "instance": self.instance,
+            "match": self.match,
+            "closed_form": self.closed_form,
+            "oracle": self.oracle,
+        }
+        return "".join(_encode_json(line, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +420,21 @@ def _r_instances(name: str, grid: dict) -> list[dict]:
 
 
 def _dup_uniform_instances(grid: dict) -> list[dict]:
+    family = fam.FAMILIES["uniform-type"]
     rs = range(2, max(3, grid["r_max"] - 2) + 1)
-    # S = <r+1, ..., 2r+1> holds every x > r, so its first three odd members
-    # past 2m = 2r + 2 are 2r+3, 2r+5, 2r+7, found with no semigroup built;
-    # each duplication has r + 2 generators, F = 2r + d and m = 2r + 2
-    _cap_work("uniform-type duplication", lambda r: 3 * (r + 2) * (6 * r + 7), rs)
-    return [{"r": r, "d": d} for r in rs for d in (2 * r + 3, 2 * r + 5, 2 * r + 7)]
+    # S holds every x > F(S) and F(S) < 2m(S), so its first three odd members past
+    # 2m(S) need no semigroup built; the duplication of S by d has one generator
+    # more than S, F = 2F(S) + d and m = 2m(S)
+    ds: dict[int, range] = {}
+
+    def work(r: int) -> int:
+        gens = family.generators(r)
+        f, m = family.pf_closed(r)[-1], min(gens)
+        ds[r] = range(2 * m + 1, 2 * m + 7, 2)
+        return sum((len(gens) + 1) * (2 * f + d + 2 * m) for d in ds[r])
+
+    _cap_work("uniform-type duplication", work, rs)
+    return [{"r": r, "d": d} for r in rs for d in ds[r]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import hashlib
 import io
 import json
@@ -374,6 +375,42 @@ def test_verify_out_file(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     json.loads(lines[0])
+
+
+FULL_JSONL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify-full.jsonl.gz"
+
+FULL_STDERR = """\
+thm-3.1: 3750/4374 matched
+thm-3.1: adjudication over variant: AsStated 1563/2187, Corrected 2187/2187 -> Corrected
+prop-3.2: 2187/2187 matched
+prop-3.3: 4227/4374 matched
+prop-3.3: adjudication over mode: AsProof 2187/2187, AsStated 2040/2187 -> AsProof
+prop-3.5: 28/28 matched
+prop-3.6: 28/28 matched
+thm-3.8: 7/7 matched
+prop-3.10: 7/7 matched
+cor-4.2: 334/334 matched
+prop-4.3: 334/334 matched
+cor-4.6: 64/64 matched
+thm-5.2: 168/168 matched
+thm-5.4: 168/168 matched
+prop-5.7: 39/39 matched
+prop-5.9: 39/39 matched
+remark-5.3: 10/10 matched
+remark-5.5: 10/10 matched
+remark-5.8: 21/21 matched
+"""
+
+
+def test_verify_all_full_matches_golden_stream(tmp_path):
+    # the CLI's own stream, not only verify_claim's lines: every byte of --out and of stderr
+    path = tmp_path / "reports.jsonl"
+    code, out, err = run_cli("verify", "all", "--grid", "full", "--out", str(path))
+    assert (code, out, err) == (0, "", FULL_STDERR)
+    written = path.read_bytes()
+    with gzip.open(FULL_JSONL, "rb") as fh:
+        assert written == fh.read()
+    assert hashlib.sha256(written).hexdigest().startswith("a062f7285f59")
 
 
 def test_verify_determinism():

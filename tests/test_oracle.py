@@ -434,6 +434,12 @@ def test_r_grids_are_capped_by_work(monkeypatch):
             assert len(oracle.claim_instances(claim, {"r_max": largest})) == largest
     monkeypatch.undo()
     assert len(oracle.claim_instances("remark-5.8", {"r_max": 118})) == 3 * 115
+    code, out, err = run_cli("verify", "remark-5.8", "--r-max", "119")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: GridTooLargeError: uniform-type duplication r=2..117: estimated oracle work"
+        " (generators x cells) passes 10000000 at r=117\n"
+    )
 
 
 def test_gluing_grids_are_capped_by_the_gluing_frobenius(monkeypatch):
@@ -477,6 +483,36 @@ def test_report_line_format():
     assert parsed["instance"] == {"h": 2}
     assert parsed["match"] is True
     assert parsed["closed_form"][0] == [28, 31, 33, 41, 49]
+
+
+def test_report_line_is_json_dumps_on_both_encoders(monkeypatch):
+    # the encoder built once per process writes what json.dumps writes, on the
+    # C path and on the pure-Python one an interpreter without _json takes
+    report = oracle.VerificationReport(
+        'thm-\u00e9\u4e2d "q" \\ \x00\x1f\n\t\u2028\U0001f600',
+        {"big": 2**64 + 1, "huge": -(3**200), "neg": -7, "t": True, "f": False, "n": None},
+        [[], {}, [[1, {"k": [(), {"\u00fc": ""}]}]], (4, (5, -6)), 0.1, 1e300],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 2.5e-320, {"\ud83d": "\x7f"}],
+        True,
+    )
+    line = {
+        "claim": report.claim,
+        "instance": report.instance,
+        "match": report.match,
+        "closed_form": report.closed_form,
+        "oracle": report.oracle,
+    }
+    expected = json.dumps(line)
+    assert isinstance(oracle._encode_json, json.encoder.c_make_encoder)
+    assert report.json_line() == expected
+
+    py_ascii = json.encoder.py_encode_basestring_ascii
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", py_ascii)
+    fallback = oracle._line_encoder()
+    assert isinstance(fallback.__self__, json.JSONEncoder)
+    monkeypatch.setattr(oracle, "_encode_json", fallback)
+    assert report.json_line() == expected
 
 
 def test_determinism():
