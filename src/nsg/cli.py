@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import constructions as cons
 from . import families as fam
@@ -198,26 +198,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 2
 
 
-def _walk(
-    ranges: list[range], last_stop: Callable[..., int | None], head: tuple[int, ...] = ()
-) -> Iterator[tuple[int, ...]]:
-    """Every tuple of ``ranges`` that starts with ``head``, in lexicographic order, one at a time.
-
-    ``itertools.product`` would copy each range into memory first.  The last
-    range is cut below ``last_stop(*head)`` when that is a bound; ranges
-    ascend, since a range step must be positive.
-    """
-    if len(head) + 1 < len(ranges):
-        for value in ranges[len(head)]:
-            yield from _walk(ranges, last_stop, head + (value,))
-        return
-    last, stop = ranges[-1], last_stop(*head)
-    if stop is not None:
-        last = range(last.start, min(last.stop, stop), last.step)
-    for value in last:
-        yield head + (value,)
-
-
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
     tail = ["frobenius", "type", "reduced_type", "extremality"]
 
@@ -244,8 +224,7 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
         raise SemigroupError(f"sweep {args.target} requires {flags}")
     rows = [
         list(values) + stats(NumericalSemigroup(family.generators(*values)))
-        for values in _walk(ranges, family.last_stop)
-        if family.in_domain(*values)
+        for values in family.walk(ranges)
     ]
     return list(family.params) + tail, rows
 

@@ -6,15 +6,15 @@ families (consecutive-interval generators, staircase generators).  Each
 closed form is meant to be cross-checked against the brute-force oracle;
 none of them is trusted blindly.  ``FAMILIES`` at the bottom maps each
 family's name to its integer parameters, its generators, its closed-form PF
-set and the tuples a sweep skips; the CLI and the verify checks read the
-families through it.
+set and its domain; the CLI and the verify checks read the families through
+it, and ``Family.walk`` is the one enumeration of the tuples they visit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     GcdNotOneError,
@@ -332,8 +332,8 @@ class Family:
 
     ``generators(*values)`` and ``pf_closed(*values)`` take the integer
     parameters named by ``params``, in that order; ``generators`` refuses
-    values outside the family.  A sweep walks the parameters' ranges in
-    lexicographic order and skips the tuples that ``in_domain`` rejects.
+    values outside the family.  ``walk``, the one enumeration of a sweep's or
+    a verify grid's tuples, skips those that ``in_domain`` rejects.
     ``last_stop(*head)`` may bound the last parameter for the values before
     it: the ascending walk of the last range stops below that bound, past
     which ``in_domain`` rejects every value.
@@ -345,12 +345,35 @@ class Family:
     in_domain: Callable[..., bool] = lambda *values: True
     last_stop: Callable[..., int | None] = lambda *head: None
 
+    def walk(
+        self, ranges: Sequence[range], head: tuple[int, ...] = ()
+    ) -> Iterator[tuple[int, ...]]:
+        """Every tuple of ``ranges`` that starts with ``head`` and that ``in_domain`` accepts, in
+        lexicographic order, one at a time.
+
+        ``itertools.product`` would copy each range into memory first.  The
+        last range is cut below ``last_stop(*head)`` when that is a bound;
+        ranges ascend, since a range step must be positive.
+        """
+        if len(head) + 1 < len(ranges):
+            for value in ranges[len(head)]:
+                yield from self.walk(ranges, head + (value,))
+            return
+        last, stop = ranges[-1], self.last_stop(*head)
+        if stop is not None:
+            last = range(last.start, min(last.stop, stop), last.step)
+        for value in last:
+            if self.in_domain(*head, value):
+                yield head + (value,)
+
 
 def _gas_in_domain(n0: int, s: int, d: int, p: int) -> bool:
-    """True iff ``GasParams`` accepts the tuple and p < n0."""
+    """True iff ``GasParams`` accepts the tuple and p < n0; a gcd refusal raises nothing."""
+    if math.gcd(n0, d) != 1:
+        return False
     try:
         return GasParams(n0, s, d, p).is_minimal_sequence
-    except (InvalidParamError, GcdNotOneError):
+    except InvalidParamError:
         return False
 
 

@@ -218,10 +218,15 @@ _PRESETS = {
 
 
 def _resolve_grid(grid: dict | None) -> dict:
+    """The preset's grid with the given keys over it; a key no grid or claim reads is refused."""
     grid = dict(grid or {})
     preset = grid.pop("preset", "small")
     if preset not in _PRESETS:
         raise UnknownClaimError(f"unknown grid preset {preset!r}")
+    readings = {row.reading for row in _CLAIMS.values() if row.reading}
+    for key in grid:
+        if key not in _PRESETS[preset] and key not in readings:
+            raise UnknownClaimError(f"unknown grid key {key!r}")
     merged = dict(_PRESETS[preset])
     merged.update(grid)
     return merged
@@ -236,24 +241,14 @@ def _cap(frobenius_estimate: int, what: str) -> None:
 
 
 def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """The valid (n0, s, d, p) under ``bounds``.
-
-    Every candidate passes the Frobenius cap first.  Minimality is decided by
-    arithmetic (p < n0, see ``GasParams.is_minimal_sequence``), with no
-    semigroup built.
-    """
-    n0_max, s_max, d_max, p_max = bounds
+    """The minimal GAS tuples under ``bounds``: the walk of ``FAMILIES["gas"]``
+    (``Family.walk``, the one enumeration, building no semigroup) over 3..n0_max,
+    1..s_max, 1..d_max and 2..p_max, each capped as it is yielded."""
+    ranges = [range(low, high + 1) for low, high in zip((3, 1, 1, 2), bounds, strict=True)]
     out = []
-    for n0 in range(3, n0_max + 1):
-        for s in range(1, s_max + 1):
-            for d in range(1, d_max + 1):
-                if math.gcd(n0, d) != 1:
-                    continue
-                for p in range(2, p_max + 1):
-                    params = fam.GasParams(n0, s, d, p)
-                    _cap(fam.gas_frobenius_closed(params), f"gas{(n0, s, d, p)}")
-                    if params.is_minimal_sequence:
-                        out.append((n0, s, d, p))
+    for values in fam.FAMILIES["gas"].walk(ranges):
+        _cap(fam.gas_frobenius_closed(fam.GasParams(*values)), f"gas{values}")
+        out.append(values)
     return tuple(out)
 
 

@@ -73,6 +73,20 @@ def test_gas_semigroup_refuses_p_ge_n0_without_building_the_sequence():
     assert len(str(info.value)) < 200
 
 
+def test_gas_frobenius_estimate_past_p_ge_n0_stays_below_p_2():
+    # The GAS grid caps only the tuples its walk yields (p < n0).  A tuple with
+    # p >= n0 never estimates more than p = 2 of the same (n0, s, d), which the
+    # walk yields first, so skipping them refuses a grid at the same tuple.
+    for n0 in range(1, 30):
+        for s in range(1, 4):
+            for d in range(1, 30):
+                if math.gcd(n0, d) != 1:
+                    continue
+                at_2 = fam.gas_frobenius_closed(fam.GasParams(n0, s, d, 2))
+                for p in range(max(n0, 2), n0 + 10):
+                    assert fam.gas_frobenius_closed(fam.GasParams(n0, s, d, p)) <= at_2, (n0, s, d, p)
+
+
 def test_gas_pf_closed_b1():
     assert fam.gas_pf_closed(fam.GasParams(5, 3, 7, 4)) == [17, 24, 31, 38]
 

@@ -406,6 +406,37 @@ def test_unknown_claim():
         oracle.claim_instances("thm-3.8", {"preset": "bogus"})
 
 
+def test_unknown_grid_key_is_refused():
+    # a misspelt key must not leave the preset's value in force unnoticed
+    with pytest.raises(UnknownClaimError, match="'h_mx'"):
+        verify_claim("thm-3.8", {"h_mx": 100})
+    with pytest.raises(UnknownClaimError, match="'gas_max'"):
+        oracle.claim_instances("thm-3.1", {"preset": "smoke", "gas_max": (8, 2, 9, 4)})
+    # the preset's keys and the claims' reading keys are read
+    grid = {"preset": "smoke", "h_max": 3, "r_max": 2, "mode": "AsProof", "variant": "Corrected"}
+    assert len(oracle.claim_instances("thm-3.8", grid)) == 2
+    assert len(oracle.claim_instances("remark-5.5", grid)) == 2
+
+
+def test_gas_grid_is_the_sweep_walk():
+    # verify's GAS grid and `nsg sweep gas` are one walk of FAMILIES["gas"]
+    ranges = ("--n0-range", "3:9", "--s-range", "1:2", "--d-range", "1:6", "--p-range", "2:12")
+    code, out, _ = run_cli("sweep", "gas", *ranges)
+    assert code == 0
+    swept = [tuple(map(int, line.split(",")[:4])) for line in out.splitlines()[1:]]
+    assert swept and swept == list(oracle._gas_tuples((9, 2, 6, 12)))
+
+
+def test_gas_grid_refuses_at_the_first_tuple_past_the_cap(monkeypatch):
+    for cap, first in [(20, "gas(3, 1, 11, 2): estimated Frobenius number 22 exceeds 20"),
+                       (50, "gas(4, 1, 17, 2): estimated Frobenius number 55 exceeds 50"),
+                       (400, "gas(13, 3, 15, 2): estimated Frobenius number 401 exceeds 400")]:
+        monkeypatch.setattr(naive, "FROBENIUS_CAP", cap)
+        with pytest.raises(GridTooLargeError) as err:
+            oracle._gas_tuples((16, 3, 17, 7))
+        assert str(err.value) == first
+
+
 def test_grid_too_large():
     with pytest.raises(GridTooLargeError):
         verify_claim("thm-3.8", {"h_max": 200})
