@@ -9,8 +9,6 @@ from .core import (
     naturals,
 )
 from .families import (
-    BackelinParams,
-    BresinskyParams,
     GasParams,
     backelin_pf_closed,
     backelin_semigroup,
@@ -47,8 +45,6 @@ from .constructions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackelinParams",
-    "BresinskyParams",
     "DuplicationSpec",
     "Extremality",
     "GasParams",

@@ -169,10 +169,6 @@ class NumericalSemigroup:
             return list(self._apery)
         return _apery(self.minimal_generators, n)
 
-    def leq(self, a: int, b: int) -> bool:
-        """The semigroup partial order: a <= b iff b - a is a member."""
-        return self.contains(b - a)
-
     @cached_property
     def _pf(self) -> tuple[int, ...]:
         # w - m is pseudo-Frobenius iff w is maximal in Ap(S, m) under the

@@ -2,9 +2,11 @@
 
 Five families: generalized arithmetic sequences (GAS), the Backelin and
 Bresinsky four-generator curve families, and the two fixed-type witness
-families (consecutive-interval generators, staircase generators).  Each
-closed form is meant to be cross-checked against the brute-force oracle;
-none of them is trusted blindly.  ``FAMILIES`` at the bottom maps each
+families (consecutive-interval generators, staircase generators).  Each is a
+generators function of its integer parameters plus its closed forms; GAS alone
+keeps a parameter object, ``GasParams``, for the a, b and n_p its closed forms
+read.  Each closed form is meant to be cross-checked against the brute-force
+oracle; none of them is trusted blindly.  ``FAMILIES`` at the bottom maps each
 family's name to its integer parameters, its generators, its closed-form PF
 set and its domain; the CLI and the verify checks read the families through
 it, and ``Family.walk`` is the one enumeration of the tuples they visit.
@@ -170,44 +172,22 @@ def gas_minimal_predicate(params: GasParams, mode: str) -> bool:
     return params.n0 < params.d + 1
 
 
-@dataclass(frozen=True)
-class BresinskyParams:
-    """Four-generator family indexed by h >= 2; multiplicity is n4 = 2h(2h-1)."""
-
-    h: int
-
-    def __post_init__(self) -> None:
-        if self.h < 2:
-            raise InvalidParamError(f"h must be >= 2, got {self.h}")
-
-    @property
-    def n1(self) -> int:
-        return 2 * self.h * (2 * self.h + 1)
-
-    @property
-    def n2(self) -> int:
-        return (2 * self.h - 1) * (2 * self.h + 1)
-
-    @property
-    def n3(self) -> int:
-        return 2 * self.h * (2 * self.h + 1) + (2 * self.h - 1)
-
-    @property
-    def n4(self) -> int:
-        return (2 * self.h - 1) * 2 * self.h
-
-    @property
-    def generators(self) -> tuple[int, int, int, int]:
-        return (self.n4, self.n2, self.n1, self.n3)  # ascending
+def bresinsky_generators(h: int) -> tuple[int, int, int, int]:
+    """(n4, n2, n1, n3), ascending, for h >= 2: n4 = 2h(2h-1) (the multiplicity),
+    n2 = (2h-1)(2h+1), n1 = 2h(2h+1) and n3 = n1 + 2h-1."""
+    if h < 2:
+        raise InvalidParamError(f"h must be >= 2, got {h}")
+    n1 = 2 * h * (2 * h + 1)
+    return ((2 * h - 1) * 2 * h, (2 * h - 1) * (2 * h + 1), n1, n1 + 2 * h - 1)
 
 
 def bresinsky_semigroup(h: int) -> NumericalSemigroup:
-    return NumericalSemigroup(BresinskyParams(h).generators)
+    return NumericalSemigroup(bresinsky_generators(h))
 
 
 def bresinsky_pf_closed(h: int) -> list[int]:
     """Closed-form PF set, size 4h-3: an arithmetic block of step 2h-1 plus one of step 4h."""
-    BresinskyParams(h)  # bounds check
+    bresinsky_generators(h)  # bounds check
     base = (2 * h - 1) ** 3 + 4 * h * (h - 2)
     first = {base + k * (2 * h - 1) + 1 for k in range(2 * h - 2)}
     second = {base + 2 * h * (2 * k + 1) + 2 for k in range(2 * h - 1)}
@@ -218,52 +198,24 @@ def bresinsky_frobenius_closed(h: int) -> int:
     return (2 * h - 1) ** 3 + 4 * h * (h - 2) + 2 * h * (4 * h - 3) + 2
 
 
-@dataclass(frozen=True)
-class BackelinParams:
-    """Four-generator family indexed by n >= 2 and r >= 3n+2."""
-
-    n: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidParamError(f"n must be >= 2, got {self.n}")
-        if self.r < 3 * self.n + 2:
-            raise InvalidParamError(f"r must be >= 3n+2 = {3 * self.n + 2}, got {self.r}")
-
-    @property
-    def base(self) -> int:
-        return self.r * (3 * self.n + 2)
-
-    @property
-    def n1(self) -> int:
-        return self.base + 3
-
-    @property
-    def n2(self) -> int:
-        return self.base + 6
-
-    @property
-    def n3(self) -> int:
-        return self.base + 3 * self.n + 4
-
-    @property
-    def n4(self) -> int:
-        return self.base + 3 * self.n + 5
-
-    @property
-    def generators(self) -> tuple[int, int, int, int]:
-        return (self.n1, self.n2, self.n3, self.n4)
+def backelin_generators(n: int, r: int) -> tuple[int, int, int, int]:
+    """(n1, n2, n3, n4) for n >= 2 and r >= 3n+2: base + 3, base + 6, base + 3n+4
+    and base + 3n+5, where base = r(3n+2)."""
+    if n < 2:
+        raise InvalidParamError(f"n must be >= 2, got {n}")
+    if r < 3 * n + 2:
+        raise InvalidParamError(f"r must be >= 3n+2 = {3 * n + 2}, got {r}")
+    base = r * (3 * n + 2)
+    return (base + 3, base + 6, base + 3 * n + 4, base + 3 * n + 5)
 
 
 def backelin_semigroup(n: int, r: int) -> NumericalSemigroup:
-    return NumericalSemigroup(BackelinParams(n, r).generators)
+    return NumericalSemigroup(backelin_generators(n, r))
 
 
 def backelin_pf_closed(n: int, r: int) -> list[int]:
     """Closed-form PF set, size 3n+2, as the union of five expression families."""
-    ps = BackelinParams(n, r)
-    n1, n2, n3, n4 = ps.n1, ps.n2, ps.n3, ps.n4
+    n1, n2, n3, n4 = backelin_generators(n, r)
     pf = {(n - k) * n1 + (3 * k - 2) * n3 - n4 for k in range(2, n + 1)}
     pf |= {(r - (n + k) + 3) * n1 + (n + k - 1) * n2 - n4 for k in range(1, n + 1)}
     pf |= {(r - k + 2) * n1 + (k - 1) * n2 + n3 - n4 for k in range(1, n + 1)}
@@ -274,8 +226,8 @@ def backelin_pf_closed(n: int, r: int) -> list[int]:
 
 
 def backelin_frobenius_closed(n: int, r: int) -> int:
-    ps = BackelinParams(n, r)
-    return (r - n + 1) * ps.n1 + n * ps.n2 + ps.n3 - ps.n4
+    n1, n2, n3, n4 = backelin_generators(n, r)
+    return (r - n + 1) * n1 + n * n2 + n3 - n4
 
 
 def _check_r(r: int) -> None:
@@ -388,11 +340,11 @@ FAMILIES: dict[str, Family] = {
         last_stop=lambda n0, s, d: n0,
     ),
     "bresinsky": Family(
-        ("h",), lambda h: BresinskyParams(h).generators, lambda h: bresinsky_pf_closed(h)
+        ("h",), lambda h: bresinsky_generators(h), lambda h: bresinsky_pf_closed(h)
     ),
     "backelin": Family(
         ("n", "r"),
-        lambda n, r: BackelinParams(n, r).generators,
+        lambda n, r: backelin_generators(n, r),
         lambda n, r: backelin_pf_closed(n, r),
         in_domain=lambda n, r: r >= 3 * n + 2,
     ),

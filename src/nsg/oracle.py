@@ -217,16 +217,27 @@ _PRESETS = {
 }
 
 
+def _shaped_like(value, want: int | tuple) -> bool:
+    """True iff ``value`` is an int where ``want`` is one, else a sequence of ``len(want)`` ints."""
+    if isinstance(want, int):
+        return isinstance(value, int)
+    shaped = isinstance(value, Sequence) and len(value) == len(want)
+    return shaped and all(map(_shaped_like, value, want))
+
+
 def _resolve_grid(grid: dict | None) -> dict:
-    """The preset's grid with the given keys over it; a key no grid or claim reads is refused."""
+    """The preset's grid with the given keys over it; refuses unknown keys and misshapen values."""
     grid = dict(grid or {})
     preset = grid.pop("preset", "small")
     if preset not in _PRESETS:
         raise UnknownClaimError(f"unknown grid preset {preset!r}")
     readings = {row.reading for row in _CLAIMS.values() if row.reading}
-    for key in grid:
-        if key not in _PRESETS[preset] and key not in readings:
+    for key, value in grid.items():
+        want = _PRESETS[preset].get(key)
+        if want is None and key not in readings:
             raise UnknownClaimError(f"unknown grid key {key!r}")
+        if want is not None and not _shaped_like(value, want):
+            raise InvalidParamError(f"grid key {key!r}: {value!r} is not shaped like {want!r}")
     merged = dict(_PRESETS[preset])
     merged.update(grid)
     return merged

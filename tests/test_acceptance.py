@@ -101,14 +101,14 @@ def _c2_closed_vs_oracle() -> dict:
     out["thm-3.8"] = verify_claim("thm-3.8", {"preset": "small"})
     assert [r.instance["h"] for r in out["thm-3.8"]] == [2, 3, 4, 5, 6]
     for h in range(2, 7):
-        _track(fam.BresinskyParams(h).generators)
+        _track(fam.bresinsky_generators(h))
 
     out["prop-3.5"] = verify_claim("prop-3.5", {"preset": "small"})
     assert {(r.instance["n"], r.instance["r"]) for r in out["prop-3.5"]} == {
         (n, r) for n in (2, 3, 4) for r in range(3 * n + 2, 3 * n + 7)
     }
     for rep in out["prop-3.5"]:
-        _track(fam.BackelinParams(rep.instance["n"], rep.instance["r"]).generators)
+        _track(fam.backelin_generators(rep.instance["n"], rep.instance["r"]))
 
     out["thm-3.1"] = verify_claim("thm-3.1", {"preset": "small", "variant": "Corrected"})
     assert len(out["thm-3.1"]) >= 200

@@ -113,9 +113,15 @@ def test_family_gas_with_p_past_n0_exits_at_once():
 
 
 def test_family_invalid_params_exit_1():
-    code, _, err = run_cli("family", "backelin", "--n", "2", "--r", "7", "--json")
-    assert code == 1
-    assert "InvalidParamError" in err
+    # the refusals' lines, byte for byte: the output pins hash stdout only
+    for argv, line in (
+        ("family bresinsky --h 1", "h must be >= 2, got 1"),
+        ("family backelin --n 1 --r 10", "n must be >= 2, got 1"),
+        ("family backelin --n 2 --r 7", "r must be >= 3n+2 = 8, got 7"),
+        ("family backelin --n 2 --r 7 --json", "r must be >= 3n+2 = 8, got 7"),
+        ("sweep backelin --n-range 1:2 --r-range 7:8", "n must be >= 2, got 1"),
+    ):
+        assert run_cli(*argv.split()) == (1, "", f"error: InvalidParamError: {line}\n")
 
 
 def test_glue_example():

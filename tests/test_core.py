@@ -172,13 +172,6 @@ def test_apery_rejects_non_members():
         s.apery_set(0)
 
 
-def test_leq():
-    s = NumericalSemigroup([3, 4, 5])
-    assert s.leq(7, 7)
-    assert s.leq(4, 9)  # 5 in S
-    assert not s.leq(4, 6)  # 2 not in S
-
-
 def test_pf_set_paper_values():
     assert NumericalSemigroup([12, 15, 20, 23]).pf_set() == [28, 31, 33, 41, 49]
     assert NumericalSemigroup([67, 70, 74, 75]).pf_set() == [213, 221, 601, 602, 604, 605, 607, 608]

@@ -161,8 +161,15 @@ def test_bresinsky_generators():
     assert fam.bresinsky_semigroup(2).minimal_generators == (12, 15, 20, 23)
     assert fam.bresinsky_semigroup(3).minimal_generators == (30, 35, 42, 47)
     assert fam.bresinsky_semigroup(2).multiplicity == 12
+    for h in range(2, 9):
+        n1 = 2 * h * (2 * h + 1)
+        assert fam.bresinsky_generators(h) == (
+            (2 * h - 1) * 2 * h, (2 * h - 1) * (2 * h + 1), n1, n1 + 2 * h - 1
+        )
     with pytest.raises(InvalidParamError):
         fam.bresinsky_semigroup(1)
+    with pytest.raises(InvalidParamError):
+        fam.bresinsky_generators(1)
 
 
 def test_bresinsky_pf_closed():
@@ -189,6 +196,11 @@ def test_backelin_generators():
         fam.backelin_semigroup(1, 10)
     with pytest.raises(InvalidParamError):
         fam.backelin_semigroup(2, 7)  # r < 3n+2
+    assert fam.backelin_generators(2, 8) == (67, 70, 74, 75)
+    assert fam.backelin_generators(3, 11) == (124, 127, 134, 135)
+    for n, r in ((1, 10), (2, 7)):
+        with pytest.raises(InvalidParamError):
+            fam.backelin_generators(n, r)
 
 
 def test_backelin_pf_closed():

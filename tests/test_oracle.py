@@ -418,6 +418,22 @@ def test_unknown_grid_key_is_refused():
     assert len(oracle.claim_instances("remark-5.5", grid)) == 2
 
 
+def test_misshapen_grid_value_is_refused():
+    # each ended in a bare ValueError or TypeError before the grid was checked
+    for claim_id, grid in (
+        ("thm-3.1", {"gas": (16, 3)}),
+        ("prop-3.5", {"backelin": (5,)}),
+        ("thm-3.8", {"h_max": "3"}),
+        ("cor-4.2", {"glue_pool": 2.5}),
+    ):
+        (key,) = grid
+        with pytest.raises(InvalidParamError, match=f"'{key}'"):
+            oracle.claim_instances(claim_id, grid)
+    # a list stands for a tuple, and a bool is an int
+    assert oracle.claim_instances("thm-3.1", {"preset": "smoke", "gas": [8, 2, 9, 4]})
+    assert oracle.claim_instances("thm-3.8", {"h_max": True}) == []
+
+
 def test_gas_grid_is_the_sweep_walk():
     # verify's GAS grid and `nsg sweep gas` are one walk of FAMILIES["gas"]
     ranges = ("--n0-range", "3:9", "--s-range", "1:2", "--d-range", "1:6", "--p-range", "2:12")
