@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence, TextIO
 
@@ -66,6 +65,8 @@ def analysis_record(sg: NumericalSemigroup) -> dict:
 
 def _emit(record: dict, as_json: bool, out: TextIO) -> None:
     if as_json:
+        import json  # only --json output encodes
+
         print(json.dumps(record), file=out)
         return
     for key, value in record.items():

@@ -9,10 +9,9 @@ never conflated with "false".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     EmptyGeneratorsError,
@@ -452,8 +451,7 @@ class Verdict(Enum):
     NO_CONCLUSION = "NoConclusion"
 
 
-@dataclass(frozen=True)
-class MinClassification:
+class MinClassification(NamedTuple):
     clause: str
     verdict: Verdict
 

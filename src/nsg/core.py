@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Apery sets are rejected beyond this many residues, before anything is
 # allocated.  Cost grows about linearly in the modulus: for
@@ -90,8 +89,7 @@ class Extremality(Enum):
         return self in (Extremality.BOTH, Extremality.MINIMAL_ONLY)
 
 
-@dataclass(frozen=True)
-class PFProfile:
+class PFProfile(NamedTuple):
     """Pseudo-Frobenius data of one semigroup.
 
     ``pf`` is sorted ascending, so ``pf[-1]`` is the Frobenius number;

@@ -15,8 +15,7 @@ it, and ``Family.walk`` is the one enumeration of the tuples they visit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     GcdNotOneError,
@@ -37,27 +36,37 @@ GAS_PF_VARIANTS = (AS_STATED, CORRECTED)
 GAS_MINIMAL_MODES = (AS_STATED, AS_PROOF)
 
 
-@dataclass(frozen=True)
-class GasParams:
-    """Generalized arithmetic sequence n0, s*n0+d, ..., s*n0+p*d.
-
-    Requires n0, s, d >= 1, p >= 2, and gcd(n0, d) = 1 (otherwise the
-    sequence does not generate a numerical semigroup).  Whether the sequence
-    is a *minimal* generating set is ``is_minimal_sequence``.
-    """
-
+class _GasFields(NamedTuple):
     n0: int
     s: int
     d: int
     p: int
 
-    def __post_init__(self) -> None:
-        if self.n0 < 1 or self.s < 1 or self.d < 1:
+
+class GasParams(_GasFields):
+    """Generalized arithmetic sequence n0, s*n0+d, ..., s*n0+p*d.
+
+    Requires n0, s, d >= 1, p >= 2, and gcd(n0, d) = 1 (otherwise the
+    sequence does not generate a numerical semigroup).  Whether the sequence
+    is a *minimal* generating set is ``is_minimal_sequence``.  A named tuple
+    of (n0, s, d, p); ``_replace`` runs the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n0: int, s: int, d: int, p: int) -> GasParams:
+        self = super().__new__(cls, n0, s, d, p)
+        if n0 < 1 or s < 1 or d < 1:
             raise InvalidParamError(f"n0, s, d must be >= 1: {self}")
-        if self.p < 2:
+        if p < 2:
             raise InvalidParamError(f"p must be >= 2: {self}")
-        if math.gcd(self.n0, self.d) != 1:
-            raise GcdNotOneError(f"gcd(n0, d) must be 1: gcd({self.n0}, {self.d})")
+        if math.gcd(n0, d) != 1:
+            raise GcdNotOneError(f"gcd(n0, d) must be 1: gcd({n0}, {d})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> GasParams:
+        return cls(*iterable)
 
     @property
     def a(self) -> int:
@@ -278,8 +287,7 @@ def staircase_pf_closed(r: int) -> list[int]:
 # The family table
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What the CLI and the verify checks know of one named family.
 
     ``generators(*values)`` and ``pf_closed(*values)`` take the integer

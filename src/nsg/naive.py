@@ -16,9 +16,8 @@ core, the error classes only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import EmptyGeneratorsError, GcdNotOneError, SemigroupError, ZeroGeneratorError
 
@@ -94,8 +93,7 @@ def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
     return list(map("1".__eq__, bin(bits)[:1:-1].ljust(cells, "0")))
 
 
-@dataclass(frozen=True)
-class NaiveStats:
+class NaiveStats(NamedTuple):
     """Definitional F, PF and reduced type, read off one membership window.
 
     ``pf`` is a list in what the ``naive_*`` calls return and a tuple in the

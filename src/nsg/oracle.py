@@ -29,9 +29,8 @@ import operator
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import constructions as cons
 from . import families as fam
@@ -71,14 +70,43 @@ def _line_encoder() -> Callable[[object, int], Iterable[str]]:
 _encode_json = _line_encoder()
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    instance: dict
-    closed_form: list
-    oracle: list
-    match: bool
-    elapsed: float = field(default=0.0, compare=False)
+    """One checked instance.  ``elapsed`` (seconds) may be set after construction and takes
+    no part in equality."""
+
+    __slots__ = ("claim", "instance", "closed_form", "oracle", "match", "elapsed")
+    __hash__ = None
+
+    def __init__(
+        self,
+        claim: str,
+        instance: dict,
+        closed_form: list,
+        oracle: list,
+        match: bool,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.claim = claim
+        self.instance = instance
+        self.closed_form = closed_form
+        self.oracle = oracle
+        self.match = match
+        self.elapsed = elapsed
+
+    def _compared(self) -> tuple:
+        return (self.claim, self.instance, self.closed_form, self.oracle, self.match)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(claim={self.claim!r}, instance={self.instance!r}, "
+            f"closed_form={self.closed_form!r}, oracle={self.oracle!r}, match={self.match!r}, "
+            f"elapsed={self.elapsed!r})"
+        )
 
     def json_line(self) -> str:
         line = {
@@ -601,8 +629,7 @@ def _verdict_not_contradicted(closed_form: list, oracle: list) -> bool:
 # Registry and runner
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(NamedTuple):
     """One registered claim: its grid enumerator, its check and its judge,
     which decides a match from the closed form and the oracle's answer.  A
     statement published in two readings also names the instance key that

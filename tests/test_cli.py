@@ -650,17 +650,22 @@ def test_family_table_drives_the_cli():
 
 
 _STARTUP_PROBE = """
-import contextlib, io, json, sys
+import sys
 import nsg, nsg.cli
 nsg.cli.build_parser()
 unused = ("nsg.oracle", "nsg.naive", "concurrent.futures", "multiprocessing")
+heavy = ("dataclasses", "inspect", "json")
 at_start = [m for m in unused if m in sys.modules]
+heavy_at_start = [m for m in heavy if m in sys.modules]
+import contextlib, io, json
 pf = nsg.naive_pf([3, 4, 5])
 after_engine = [m for m in unused if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = nsg.cli.main(["verify", "thm-3.1", "--grid", "smoke"])
-print(json.dumps({"at_start": at_start, "pf": pf, "after_engine": after_engine, "code": code,
-                  "after_verify": [m for m in unused if m in sys.modules]}))
+print(json.dumps({"at_start": at_start, "heavy_at_start": heavy_at_start, "pf": pf,
+                  "after_engine": after_engine, "code": code,
+                  "after_verify": [m for m in unused if m in sys.modules],
+                  "heavy_after_verify": [m for m in heavy[:2] if m in sys.modules]}))
 """
 
 
@@ -674,8 +679,11 @@ def test_startup_loads_only_what_the_command_runs():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["at_start"] == []
+    # no record class pulls in dataclasses (and with it inspect), and only --json loads json
+    assert seen["heavy_at_start"] == []
     # an engine name loads the engine, not the harness
     assert seen["pf"] == [1, 2]
     assert seen["after_engine"] == ["nsg.naive"]
     assert seen["code"] == 0
     assert seen["after_verify"] == ["nsg.oracle", "nsg.naive"]
+    assert seen["heavy_after_verify"] == []

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -19,12 +20,24 @@ from nsg.naive import naive_pf
 
 
 def test_gas_params_validation():
-    with pytest.raises(GcdNotOneError):
+    with pytest.raises(GcdNotOneError, match=re.escape("gcd(n0, d) must be 1: gcd(6, 3)")):
         fam.GasParams(6, 1, 3, 4)
-    with pytest.raises(InvalidParamError):
-        fam.GasParams(5, 1, 3, 1)  # p >= 2
-    with pytest.raises(InvalidParamError):
+    with pytest.raises(
+        InvalidParamError, match=re.escape("p must be >= 2: GasParams(n0=5, s=1, d=3, p=1)")
+    ):
+        fam.GasParams(5, 1, 3, 1)
+    with pytest.raises(
+        InvalidParamError, match=re.escape("n0, s, d must be >= 1: GasParams(n0=5, s=0, d=3, p=2)")
+    ):
         fam.GasParams(5, 0, 3, 2)
+    # _replace builds through the same checks
+    with pytest.raises(InvalidParamError, match=re.escape("GasParams(n0=0, s=1, d=1, p=2)")):
+        fam.GasParams(3, 1, 1, 2)._replace(n0=0)
+    # rebuilt parameters are equal and hash alike, so they can key a memo
+    params = fam.GasParams(3, 1, 1, 2)
+    assert params == fam.GasParams(3, 1, 1, 2)
+    assert hash(params) == hash(fam.GasParams(3, 1, 1, 2))
+    assert {params: 1}[fam.GasParams(3, 1, 1, 2)] == 1
 
 
 def test_gas_sequence_and_split():
