@@ -23,6 +23,7 @@ from .core import (
     TABLE_LIMIT,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    SemigroupError,
     TableLimitError,
 )
 
@@ -43,6 +44,17 @@ class _GasFields(NamedTuple):
     p: int
 
 
+def _gas_refusal(n0: int, s: int, d: int, p: int) -> SemigroupError | None:
+    """The error ``GasParams(n0, s, d, p)`` raises, or None if it accepts the tuple;
+    the tuple is tested without building the object."""
+    if min(n0, s, d) < 1 or p < 2:
+        rule = "n0, s, d must be >= 1" if min(n0, s, d) < 1 else "p must be >= 2"
+        return InvalidParamError(f"{rule}: GasParams(n0={n0!r}, s={s!r}, d={d!r}, p={p!r})")
+    if math.gcd(n0, d) != 1:
+        return GcdNotOneError(f"gcd(n0, d) must be 1: gcd({n0}, {d})")
+    return None
+
+
 class GasParams(_GasFields):
     """Generalized arithmetic sequence n0, s*n0+d, ..., s*n0+p*d.
 
@@ -55,14 +67,10 @@ class GasParams(_GasFields):
     __slots__ = ()
 
     def __new__(cls, n0: int, s: int, d: int, p: int) -> GasParams:
-        self = super().__new__(cls, n0, s, d, p)
-        if n0 < 1 or s < 1 or d < 1:
-            raise InvalidParamError(f"n0, s, d must be >= 1: {self}")
-        if p < 2:
-            raise InvalidParamError(f"p must be >= 2: {self}")
-        if math.gcd(n0, d) != 1:
-            raise GcdNotOneError(f"gcd(n0, d) must be 1: gcd({n0}, {d})")
-        return self
+        refusal = _gas_refusal(n0, s, d, p)
+        if refusal is not None:
+            raise refusal
+        return super().__new__(cls, n0, s, d, p)
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> GasParams:
@@ -328,13 +336,8 @@ class Family(NamedTuple):
 
 
 def _gas_in_domain(n0: int, s: int, d: int, p: int) -> bool:
-    """True iff ``GasParams`` accepts the tuple and p < n0; a gcd refusal raises nothing."""
-    if math.gcd(n0, d) != 1:
-        return False
-    try:
-        return GasParams(n0, s, d, p).is_minimal_sequence
-    except InvalidParamError:
-        return False
+    """True iff ``GasParams`` accepts the tuple and p < n0 (``is_minimal_sequence``)."""
+    return p < n0 and _gas_refusal(n0, s, d, p) is None
 
 
 # The entries call the module's functions through lambdas, which look each

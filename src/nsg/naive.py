@@ -2,15 +2,17 @@
 
 Nothing here touches the Apery-set machinery.  A membership table is one
 Python int, bit x set iff x is in S, and every step is a whole-int shift or
-mask, with no Python loop per cell.  One closure ORs each generator's shifts
-into a window that doubles until its highest gap F has F + m inside it; one
-scan of that window finds the multiplicity, F, the atoms S* \\ (S* + S*), the
-pseudo-Frobenius numbers (quantified over the atoms) and the reduced type.
-A duplication's table is spread out of the closure of S and goes through the
-same scan.  ``naive_closure`` is a list view of the closure, which the slow
-all-members PF reference reads.  This module is the independent side of the
-verify harness (``nsg.oracle``): it imports the standard library and, from the
-core, the error classes only.
+mask, with no Python loop per cell.  One closing loop ORs each generator's
+shifts into a masked window.  A fresh closure runs it on windows that double
+until the highest gap F has F + m inside them; a closure of S plus one
+generator above all of S's runs it once more on S's closure, whose window
+already holds the new F + m.  One scan of the window finds the multiplicity,
+F, the atoms S* \\ (S* + S*), the pseudo-Frobenius numbers (quantified over
+the atoms) and the reduced type.  A duplication's table is spread out of the
+closure of S and goes through the same scan.  ``naive_closure`` is a list
+view of the closure, which the slow all-members PF reference reads.  This
+module is the independent side of the verify harness (``nsg.oracle``): it
+imports the standard library and, from the core, the error classes only.
 """
 
 from __future__ import annotations
@@ -42,15 +44,38 @@ def _validate(gens: Sequence[int]) -> list[int]:
     return gs
 
 
+def _close(bits: int, gens: Sequence[int], top: int) -> int:
+    """``bits`` closed inside the window [0, top] under adding each of ``gens``.
+
+    Each generator g is closed by doubling: the window ORs in its own shifts
+    by g, 2g, 4g, ... that still land inside it.  This is the one closing loop,
+    for a fresh closure's windows and for a one-generator extension alike.
+    """
+    mask = (1 << (top + 1)) - 1
+    for g in gens:
+        k = g
+        while k <= top:
+            bits |= (bits << k) & mask
+            k <<= 1
+    return bits
+
+
+def _cut(bits: int, top: int, m: int) -> int | None:
+    """A closed window [0, top] of multiplicity m cut to [0, F + m] ([0, 1] for N);
+    None when F + m lies past the window."""
+    frob = (bits ^ ((1 << (top + 1)) - 1)).bit_length() - 1
+    if frob + m > top:
+        return None
+    return bits & ((2 << max(frob + m, 1)) - 1)
+
+
 def _closure_bits(gens: Sequence[int], bound: int | None = None) -> int:
     """S as one int: bit x is set iff x is a nonnegative combination of gens.
 
-    Each generator g is closed by doubling: the window ORs in its own shifts
-    by g, 2g, 4g, ... that still land inside it.  With ``bound`` the window is
-    [0, bound].  Without one the window doubles until its highest gap F has
-    F + m inside it, and the result is cut to [0, F + m] ([0, 1] for N).  A
-    window that would pass ``FROBENIUS_CAP + m`` cells raises
-    GridTooLargeError instead.
+    With ``bound`` the window is [0, bound].  Without one the window doubles
+    until its highest gap F has F + m inside it, and the result is cut to
+    [0, F + m] ([0, 1] for N).  A window that would pass ``FROBENIUS_CAP + m``
+    cells raises GridTooLargeError instead.
     """
     gs = _validate(gens)
     m = gs[0]
@@ -62,23 +87,31 @@ def _closure_bits(gens: Sequence[int], bound: int | None = None) -> int:
     )
     if reach > limit:
         raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
-    top = max(bound, 0) if bound is not None else min(2 * reach, limit)
+    if bound is not None:
+        return _close(1, gs, max(bound, 0))
+    top = min(2 * reach, limit)
     while True:
-        mask = (1 << (top + 1)) - 1
-        bits = 1
-        for g in gs:
-            k = g
-            while k <= top:
-                bits |= (bits << k) & mask
-                k <<= 1
-        if bound is not None:
+        bits = _cut(_close(1, gs, top), top, m)
+        if bits is not None:
             return bits
-        frob = (bits ^ mask).bit_length() - 1
-        if frob + m <= top:
-            return bits & ((2 << max(frob + m, 1)) - 1)
         if top == limit:
             raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
         top = min(2 * top, limit)
+
+
+def _extend_closure(kept: int, gens: Sequence[int]) -> int:
+    """``_closure_bits(gens)``, from ``kept``, the closure of gens[:-1].
+
+    ``gens`` is canonical (ascending, no repeats) and gens[:-1] generates a
+    numerical semigroup P; write C for <gens>.  P is inside C and both have
+    the multiplicity m = gens[0], so F(C) <= F(P), and P's window [0, F(P) + m]
+    already reaches F(C) + m.  Closing P's exact window under the last
+    generator gives C on that window, and the cut at F(C) + m makes it the
+    fresh closure bit for bit.  No refusal can apply: C needs no window
+    larger than P's.
+    """
+    top = kept.bit_length() - 1
+    return _cut(_close(kept, gens[-1:], top), top, gens[0])
 
 
 def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:

@@ -14,10 +14,13 @@ away.  One verify run (``verify_run``) keeps one memo of what it asks more
 than once: an oracle answer per distinct semigroup and per distinct
 duplication, and on the closed-form side a core semigroup per generator
 tuple, an ideal per (generators, ideal generators), a GAS instance per
-(n0, s, d, p) and the GAS grid per bounds.  The memo is dropped when the run
-ends.  Its oracle answers are immutable, with PF as a tuple, so a lookup
-hands out the stored answer with no copy.  Outside a run the checks compute
-afresh, and direct ``naive_*`` calls are never cached and return PF lists.
+(n0, s, d, p) and the GAS grid per bounds.  It also keeps one closure, the
+last the run made: a semigroup whose generators are those plus one larger
+generator, as GAS(n0, s, d, p) follows GAS(n0, s, d, p - 1) in the grid, is
+closed by extending it.  The memo is dropped when the run ends.  Its oracle
+answers are immutable, with PF as a tuple, so a lookup hands out the stored
+answer with no copy.  Outside a run the checks compute afresh, and direct
+``naive_*`` calls are never cached and return PF lists.
 Each report is one JSON line, written by one encoder built per process.
 """
 
@@ -127,16 +130,19 @@ class VerificationReport:
 # times, and the construction claims build the same few pool semigroups and
 # ideals on every instance.  So a verify run keeps one plain dict, opened by
 # ``verify_run`` and dropped when the run ends; it holds one entry per
-# distinct question of the run's plan, which the grid caps bound.  Outside
-# a run every accessor computes afresh.  Keys are tagged tuples, and every
-# value is a pure function of its key and immutable where it is shared: oracle
-# answers are frozen with PF as a tuple (a check that reports PF hands the
-# judge its own ``list(stats.pf)``), core semigroups, GAS parameters and grids
-# are immutable, and an ideal only caches what it derives.  A value is stored
-# once its builder returns, so an error is never stored.  The oracle answers
-# and the core objects share this dict but no code path.  The slot is
-# module-level because verify runs in one thread; a concurrent caller can lose
-# hits, never get a wrong answer.
+# distinct question of the run's plan, which the grid caps bound, plus the
+# last closure (``_LAST_CLOSURE``), the one entry that is not an answer: each
+# fresh or extended closure replaces it, so the memo holds one table whatever
+# the run's size.  Outside a run every accessor computes afresh.  Keys are
+# tagged tuples, and every answer is a pure function of its key and immutable
+# where it is shared: oracle answers are frozen with PF as a tuple (a check
+# that reports PF hands the judge its own ``list(stats.pf)``), core
+# semigroups, GAS parameters and grids are immutable, and an ideal only
+# caches what it derives.  A value is stored once its builder returns, so an
+# error is never stored.  The oracle answers and the core objects share this
+# dict but no code path.  The memo is module-level because verify runs in one
+# thread; a concurrent caller can lose hits, never get a wrong answer: the
+# last closure is read and written as one (key, bits) pair.
 
 _run_memo: dict | None = None
 
@@ -177,7 +183,28 @@ def _frozen(stats: NaiveStats) -> NaiveStats:
 def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
     """``naive_stats(gens)`` with PF as a tuple, once per distinct generator set in a run."""
     key = _canon(gens)
-    return _recall(("stats", key), lambda: _frozen(naive_stats(key)))
+    return _recall(("stats", key), lambda: _frozen(_closed_stats(key)))
+
+
+# The memo's one slot that is not an answer: (canonical generators, closure bits)
+# of the last semigroup ``_closed_stats`` closed in the run.
+_LAST_CLOSURE = ("last closure",)
+
+
+def _closed_stats(key: tuple[int, ...]) -> NaiveStats:
+    """``naive_stats(key)``; inside a run, a key that is the last closed key plus one larger
+    generator (GAS(n0, s, d, p) after GAS(n0, s, d, p - 1)) extends that closure instead of
+    closing from {0}, and every closure replaces the last one, so the memo keeps one."""
+    memo = _run_memo
+    if memo is None:
+        return naive_stats(key)
+    last = memo.get(_LAST_CLOSURE)
+    if last is not None and key[:-1] == last[0]:
+        bits = naive._extend_closure(last[1], key)
+    else:
+        bits = naive._closure_bits(key)
+    memo[_LAST_CLOSURE] = key, bits
+    return naive._stats_from_bits(bits)
 
 
 def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:

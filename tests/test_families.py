@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -38,6 +39,17 @@ def test_gas_params_validation():
     assert params == fam.GasParams(3, 1, 1, 2)
     assert hash(params) == hash(fam.GasParams(3, 1, 1, 2))
     assert {params: 1}[fam.GasParams(3, 1, 1, 2)] == 1
+
+
+def test_gas_domain_is_what_gas_params_accept_below_n0():
+    # the walk's domain test reads the same three refusals GasParams raises
+    in_domain = fam.FAMILIES["gas"].in_domain
+    for n0, s, d, p in itertools.product(range(-1, 7), range(-1, 3), range(-1, 7), range(-1, 8)):
+        try:
+            accepted = fam.GasParams(n0, s, d, p).is_minimal_sequence
+        except (InvalidParamError, GcdNotOneError):
+            accepted = False
+        assert in_domain(n0, s, d, p) == accepted, (n0, s, d, p)
 
 
 def test_gas_sequence_and_split():

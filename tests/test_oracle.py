@@ -1,5 +1,6 @@
 import ast
 import gzip
+import hashlib
 import importlib
 import json
 import math
@@ -12,8 +13,11 @@ from pathlib import Path
 
 import pytest
 from conftest import run_cli
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nsg.core as core
+import nsg.families as fam
 import nsg.naive as naive
 import nsg.oracle as oracle
 from nsg.constructions import Verdict
@@ -85,6 +89,41 @@ def test_large_closure_is_cheap():
     assert stats.pf == [3_023_999]
     assert stats.reduced_type == 1
     assert peak < 8 * 2**20
+
+
+@st.composite
+def closure_extensions(draw):
+    """The canonical generators of a numerical semigroup P (N, two generators or more) and
+    one generator above P's largest, at times already a member of P."""
+    parent = draw(st.one_of(st.just([1]), st.lists(st.integers(2, 40), min_size=2, max_size=4)))
+    key = tuple(sorted(set(parent)))
+    assume(math.gcd(*key) == 1)
+    beyond = st.integers(key[-1] + 1, key[-1] + 60)
+    member = st.sampled_from(key).map(lambda g: key[-1] + g)
+    return key, draw(st.one_of(beyond, member))
+
+
+@given(closure_extensions())
+@settings(max_examples=100, deadline=None)
+def test_extended_closure_is_the_fresh_closure(case):
+    key, g = case
+    kept = naive._closure_bits(key)
+    assert naive._extend_closure(kept, key + (g,)) == naive._closure_bits(key + (g,))
+
+
+def test_every_gas_prefix_chain_of_the_full_grid_extends_exactly():
+    # each (n0, s, d) of the full grid, from its two-generator prefix up to its
+    # largest p, one generator at a time, bit for bit against a fresh closure
+    p_max = {}
+    for n0, s, d, p in oracle._gas_tuples(oracle._PRESETS["full"]["gas"]):
+        p_max[n0, s, d] = p
+    assert sum(p - 1 for p in p_max.values()) == 2187
+    for (n0, s, d), p in p_max.items():
+        gens = fam.gas_generators(fam.GasParams(n0, s, d, p))
+        bits = naive._closure_bits(gens[:2])
+        for k in range(3, len(gens) + 1):
+            bits = naive._extend_closure(bits, gens[:k])
+            assert bits == naive._closure_bits(gens[:k]), gens[:k]
 
 
 def test_naive_frobenius():
@@ -163,55 +202,84 @@ def test_one_closure_per_call(monkeypatch):
     assert calls == [(3, 4, 5)]
 
 
-def test_one_closure_per_distinct_semigroup(monkeypatch):
-    # verify asks the definitional engine once per distinct semigroup and
-    # once per distinct duplication; each answer costs exactly one closure
-    monkeypatch.setenv("NSG_THREADS", "1")
-    closures, stats_keys, dup_keys = [], [], []
-    closure, stats, dup_stats = naive._closure_bits, oracle.naive_stats, oracle.naive_duplication_stats
+def _count_closures(monkeypatch) -> tuple[list, list]:
+    """Record the canonical generators of every fresh and every extended closure."""
+    fresh, extended = [], []
+    closure, extend = naive._closure_bits, naive._extend_closure
 
     def counting_closure(gens, *args):
-        closures.append(tuple(sorted(set(gens))))
+        fresh.append(tuple(sorted(set(gens))))
         return closure(gens, *args)
 
-    def counting_stats(gens):
-        stats_keys.append(tuple(sorted(set(gens))))
-        return stats(gens)
+    def counting_extend(kept, gens):
+        extended.append(tuple(gens))
+        return extend(kept, gens)
+
+    monkeypatch.setattr(naive, "_closure_bits", counting_closure)
+    monkeypatch.setattr(naive, "_extend_closure", counting_extend)
+    return fresh, extended
+
+
+def _gas_gens_past_p2(bounds) -> list[tuple[int, ...]]:
+    """The generators of each GAS tuple with p >= 3 under ``bounds``, in grid order."""
+    return [
+        fam.gas_generators(fam.GasParams(*values))
+        for values in oracle._gas_tuples(bounds)
+        if values[3] >= 3
+    ]
+
+
+def test_one_closure_per_distinct_semigroup(monkeypatch):
+    # verify asks the definitional engine once per distinct semigroup and
+    # once per distinct duplication; each answer costs exactly one closure,
+    # fresh or extended from the run's last one, and the GAS tuples with
+    # p >= 3 are exactly the extended ones
+    monkeypatch.setenv("NSG_THREADS", "1")
+    stats_keys, dup_keys = [], []
+    stats, dup_stats = oracle._closed_stats, oracle.naive_duplication_stats
+    fresh, extended = _count_closures(monkeypatch)
+
+    def counting_stats(key):
+        stats_keys.append(key)
+        return stats(key)
 
     def counting_dup_stats(s_gens, e_gens, d):
         dup_keys.append((tuple(sorted(set(s_gens))), tuple(sorted(set(e_gens))), d))
         return dup_stats(s_gens, e_gens, d)
 
-    monkeypatch.setattr(naive, "_closure_bits", counting_closure)
-    monkeypatch.setattr(oracle, "naive_stats", counting_stats)
+    monkeypatch.setattr(oracle, "_closed_stats", counting_stats)
     monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
     reports = verify_claim("all", {"preset": "smoke"})
     assert len(set(stats_keys)) == len(stats_keys) > 0
     assert len(set(dup_keys)) == len(dup_keys) > 0
     assert len(reports) > len(stats_keys) + len(dup_keys)
-    assert len(closures) == len(stats_keys) + len(dup_keys)
-    assert sorted(closures) == sorted(stats_keys + [key[0] for key in dup_keys])
+    assert len(fresh) + len(extended) == len(stats_keys) + len(dup_keys)
+    assert sorted(fresh + extended) == sorted(stats_keys + [key[0] for key in dup_keys])
+    assert extended == _gas_gens_past_p2(oracle._PRESETS["smoke"]["gas"]) != []
     # the memo ends with its run: a second run builds exactly the same closures again
-    first = sorted(closures)
-    closures.clear()
+    first = (list(fresh), list(extended))
+    fresh.clear()
+    extended.clear()
     verify_claim("all", {"preset": "smoke"})
-    assert sorted(closures) == first
+    assert (fresh, extended) == first
 
 
 def test_large_gas_grid_closes_each_semigroup_once(monkeypatch):
-    # 6,168 distinct semigroups, more than a memo of 4,096 entries holds, each
-    # asked under both readings: one run closes each of them once
-    closures = []
-    closure = naive._closure_bits
-
-    def counting(gens, *args):
-        closures.append(tuple(sorted(set(gens))))
-        return closure(gens, *args)
-
-    monkeypatch.setattr(naive, "_closure_bits", counting)
-    reports = verify_claim("thm-3.1", {"preset": "full", "gas": (24, 3, 25, 8)})
+    # 6,168 distinct semigroups, each asked under both readings: one run closes
+    # each of them once, 5,145 of them (every tuple with p >= 3) extended from
+    # the closure of the tuple before, and the stream is the one fresh closures give
+    fresh, extended = _count_closures(monkeypatch)
+    bounds = (24, 3, 25, 8)
+    reports = verify_claim("thm-3.1", {"preset": "full", "gas": bounds})
     assert len(reports) == 2 * 6168
-    assert len(closures) == len(set(closures)) == 6168
+    closed = fresh + extended
+    assert len(closed) == len(set(closed)) == 6168
+    assert extended == _gas_gens_past_p2(bounds)
+    assert len(extended) == 5145
+    stream = "".join(rep.json_line() + "\n" for rep in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "ff390e468d315ac1deebef1bd4aef422ad030795794c3e8a82cd655412611388"
+    )
 
 
 def test_verify_run_builds_each_core_semigroup_once(monkeypatch):
@@ -337,18 +405,25 @@ def test_memo_does_not_cache_errors(monkeypatch):
 
 
 def test_gas_grid_builds_no_semigroup(monkeypatch):
-    # minimality of each candidate tuple is decided by p < n0, not by a core build
-    builds = []
-    init = NumericalSemigroup.__init__
+    # minimality of each candidate tuple is decided by p < n0, not by a core
+    # build, and the domain test builds no parameters: one per kept tuple, for its cap
+    builds, params = [], []
+    init, new = NumericalSemigroup.__init__, fam.GasParams.__new__
 
     def counting_init(self, gens):
         builds.append(gens)
         init(self, gens)
 
+    def counting_new(cls, *values):
+        params.append(values)
+        return new(cls, *values)
+
     monkeypatch.setattr(NumericalSemigroup, "__init__", counting_init)
+    monkeypatch.setattr(fam.GasParams, "__new__", counting_new)
     instances = oracle.claim_instances("thm-3.1", {"preset": "full"})
     assert len(instances) == 2 * 2187
     assert builds == []
+    assert len(params) == len(set(params)) == 2187
     assert all(inst["p"] < inst["n0"] for inst in instances)
 
 
