@@ -4,17 +4,19 @@ Five families: generalized arithmetic sequences (GAS), the Backelin and
 Bresinsky four-generator curve families, and the two fixed-type witness
 families (consecutive-interval generators, staircase generators).  Each is a
 generators function of its integer parameters plus its closed forms; GAS alone
-keeps a parameter object, ``GasParams``, for the a, b and n_p its closed forms
-read.  Each closed form is meant to be cross-checked against the brute-force
-oracle; none of them is trusted blindly.  ``FAMILIES`` at the bottom maps each
-family's name to its integer parameters, its generators, its closed-form PF
-set and its domain; the CLI and the verify checks read the families through
-it, and ``Family.walk`` is the one enumeration of the tuples they visit.
+keeps a parameter object, ``GasParams``, which checks its four integers, and
+its closed forms read n0, s, d, p off any 4-tuple.  Each closed form is meant
+to be cross-checked against the brute-force oracle; none of them is trusted
+blindly.  ``FAMILIES`` at the bottom maps each family's name to its integer
+parameters, its generators, its closed-form PF set and its domain; the CLI
+and the verify checks read the families through it, and ``Family.walk`` is
+the one enumeration of the tuples they visit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -77,20 +79,13 @@ class GasParams(_GasFields):
         return cls(*iterable)
 
     @property
-    def a(self) -> int:
-        return self.n0 // self.p
-
-    @property
     def b(self) -> int:
         return self.n0 % self.p
 
     @property
     def sequence(self) -> tuple[int, ...]:
-        return (self.n0,) + tuple(self.s * self.n0 + i * self.d for i in range(1, self.p + 1))
-
-    @property
-    def n_p(self) -> int:
-        return self.s * self.n0 + self.p * self.d
+        n0, s, d, p = self
+        return (n0, *range(s * n0 + d, s * n0 + p * d + 1, d))
 
     @property
     def is_minimal_sequence(self) -> bool:
@@ -126,53 +121,48 @@ def gas_semigroup(params: GasParams) -> NumericalSemigroup:
     return NumericalSemigroup(gas_generators(params))
 
 
-def gas_pf_closed(params: GasParams, variant: str = CORRECTED) -> list[int]:
+def gas_pf_closed(params: Sequence[int], variant: str = CORRECTED) -> list[int]:
     """Closed-form PF set of a GAS semigroup, by the residue b = n0 mod p.
 
-    For b = 0 the set is {a*n_p - n0 - (p-i)d : 1 <= i <= p-1}, for b = 1 the
-    same with i up to p.  For b >= 2 the stated form is {a*n_p + i*d}, but the
-    top Apery-set tier sits one s*n0 block higher, which shifts the set by
-    (s-1)*n0; the two variants therefore differ exactly when s >= 2 and
+    With a = n0 div p and n_p = s*n0 + p*d, the set is
+    {a*n_p - n0 - (p-i)d : 1 <= i <= p-1} for b = 0, and the same with i up
+    to p for b = 1.  For b >= 2 the stated form is {a*n_p + i*d : 1 <= i <= b-1},
+    but the top Apery-set tier sits one s*n0 block higher, which shifts the
+    set by (s-1)*n0; the two variants therefore differ exactly when s >= 2 and
     b >= 2, and the verify harness adjudicates them against the oracle.
-    """
+    ``params`` is any (n0, s, d, p), a ``GasParams`` or a plain tuple."""
     if variant not in GAS_PF_VARIANTS:
         raise InvalidParamError(f"unknown variant {variant!r}")
-    a, b, d, p = params.a, params.b, params.d, params.p
-    top = a * params.n_p
-    if b == 0:
-        return [top - params.n0 - (p - i) * d for i in range(1, p)]
-    if b == 1:
-        return [top - params.n0 - (p - i) * d for i in range(1, p + 1)]
-    shift = 0 if variant == AS_STATED else (params.s - 1) * params.n0
+    n0, s, d, p = params
+    a, b = divmod(n0, p)
+    top = a * (s * n0 + p * d)
+    if b < 2:
+        return [top - n0 - (p - i) * d for i in range(1, p + b)]
+    shift = 0 if variant == AS_STATED else (s - 1) * n0
     return [top + shift + i * d for i in range(1, b)]
 
 
-def gas_frobenius_closed(params: GasParams, variant: str = CORRECTED) -> int:
-    """max of the closed-form PF set (cheap size estimate for grids)."""
+def gas_frobenius_closed(params: Sequence[int], variant: str = CORRECTED) -> int:
+    """max of the closed-form PF set (cheap size estimate for grids); ``params`` is any
+    (n0, s, d, p)."""
     return gas_pf_closed(params, variant)[-1]
 
 
-def gas_type_closed(params: GasParams) -> int:
+def gas_type_closed(params: Sequence[int]) -> int:
     """Closed-form type: p-1, p, or b-1 by the case of b."""
-    b = params.b
-    if b == 0:
-        return params.p - 1
-    if b == 1:
-        return params.p
-    return b - 1
+    n0, _, _, p = params
+    b = n0 % p
+    return p - 1 + b if b < 2 else b - 1
 
 
-def gas_maximal_predicate(params: GasParams) -> bool:
+def gas_maximal_predicate(params: Sequence[int]) -> bool:
     """Maximal reduced type criterion, exact integer form of (..) <= (n0-1)/d."""
-    n0, d, p, b = params.n0, params.d, params.p, params.b
-    if b == 0:
-        return (p - 2) * d <= n0 - 1
-    if b == 1:
-        return (p - 1) * d <= n0 - 1
-    return (b - 2) * d <= n0 - 1
+    n0, _, d, p = params
+    b = n0 % p
+    return ((p - 2 + b) if b < 2 else (b - 2)) * d <= n0 - 1
 
 
-def gas_minimal_predicate(params: GasParams, mode: str) -> bool:
+def gas_minimal_predicate(params: Sequence[int], mode: str) -> bool:
     """Minimal reduced type criterion; the published threshold exists in two readings.
 
     The statement says n0 < d-1, its derivation gives n0 < d+1; both are
@@ -184,9 +174,8 @@ def gas_minimal_predicate(params: GasParams, mode: str) -> bool:
         raise InvalidParamError(f"unknown mode {mode!r}")
     if gas_type_closed(params) == 1:
         return True
-    if mode == AS_STATED:
-        return params.n0 < params.d - 1
-    return params.n0 < params.d + 1
+    n0, _, d, _ = params
+    return n0 < d - 1 if mode == AS_STATED else n0 < d + 1
 
 
 def bresinsky_generators(h: int) -> tuple[int, int, int, int]:
@@ -300,44 +289,36 @@ class Family(NamedTuple):
 
     ``generators(*values)`` and ``pf_closed(*values)`` take the integer
     parameters named by ``params``, in that order; ``generators`` refuses
-    values outside the family.  ``walk``, the one enumeration of a sweep's or
-    a verify grid's tuples, skips those that ``in_domain`` rejects.
-    ``last_stop(*head)`` may bound the last parameter for the values before
-    it: the ascending walk of the last range stops below that bound, past
-    which ``in_domain`` rejects every value.
+    values outside the family.  ``last_bounds(*head)`` spells the domain: for
+    the values before the last parameter it gives (lo, hi), and the tuple is
+    in the domain iff lo <= last < hi (an empty interval refuses the head).
+    ``walk``, the one enumeration of a sweep's or a verify grid's tuples,
+    visits the domain's tuples only.
     """
 
     params: tuple[str, ...]
     generators: Callable[..., Sequence[int]]
     pf_closed: Callable[..., list[int]]
-    in_domain: Callable[..., bool] = lambda *values: True
-    last_stop: Callable[..., int | None] = lambda *head: None
+    last_bounds: Callable[..., tuple[float, float]] = lambda *head: (-math.inf, math.inf)
 
     def walk(
         self, ranges: Sequence[range], head: tuple[int, ...] = ()
     ) -> Iterator[tuple[int, ...]]:
-        """Every tuple of ``ranges`` that starts with ``head`` and that ``in_domain`` accepts, in
+        """Every tuple of ``ranges`` that starts with ``head`` and lies in the domain, in
         lexicographic order, one at a time.
 
         ``itertools.product`` would copy each range into memory first.  The
-        last range is cut below ``last_stop(*head)`` when that is a bound;
-        ranges ascend, since a range step must be positive.
+        last range is cut to ``last_bounds(*head)`` once per head, so no tuple
+        is tested on its own; ranges ascend, since a range step must be positive.
         """
         if len(head) + 1 < len(ranges):
             for value in ranges[len(head)]:
                 yield from self.walk(ranges, head + (value,))
             return
-        last, stop = ranges[-1], self.last_stop(*head)
-        if stop is not None:
-            last = range(last.start, min(last.stop, stop), last.step)
-        for value in last:
-            if self.in_domain(*head, value):
-                yield head + (value,)
-
-
-def _gas_in_domain(n0: int, s: int, d: int, p: int) -> bool:
-    """True iff ``GasParams`` accepts the tuple and p < n0 (``is_minimal_sequence``)."""
-    return p < n0 and _gas_refusal(n0, s, d, p) is None
+        last = ranges[-1]
+        lo, hi = self.last_bounds(*head)
+        for value in last[bisect_left(last, lo) : bisect_left(last, hi)]:
+            yield head + (value,)
 
 
 # The entries call the module's functions through lambdas, which look each
@@ -347,8 +328,8 @@ FAMILIES: dict[str, Family] = {
         ("n0", "s", "d", "p"),
         lambda n0, s, d, p: gas_generators(GasParams(n0, s, d, p)),
         lambda n0, s, d, p: gas_pf_closed(GasParams(n0, s, d, p)),
-        in_domain=_gas_in_domain,
-        last_stop=lambda n0, s, d: n0,
+        # GasParams' p >= 2 rule and p < n0 (is_minimal_sequence) where it accepts (n0, s, d)
+        last_bounds=lambda n0, s, d: (2, n0) if _gas_refusal(n0, s, d, 2) is None else (0, 0),
     ),
     "bresinsky": Family(
         ("h",), lambda h: bresinsky_generators(h), lambda h: bresinsky_pf_closed(h)
@@ -357,7 +338,7 @@ FAMILIES: dict[str, Family] = {
         ("n", "r"),
         lambda n, r: backelin_generators(n, r),
         lambda n, r: backelin_pf_closed(n, r),
-        in_domain=lambda n, r: r >= 3 * n + 2,
+        last_bounds=lambda n: (3 * n + 2, math.inf),
     ),
     "uniform-type": Family(
         ("r",), lambda r: uniform_type_generators(r), lambda r: uniform_type_pf_closed(r)

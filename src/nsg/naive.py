@@ -7,12 +7,15 @@ shifts into a masked window.  A fresh closure runs it on windows that double
 until the highest gap F has F + m inside them; a closure of S plus one
 generator above all of S's runs it once more on S's closure, whose window
 already holds the new F + m.  One scan of the window finds the multiplicity,
-F, the atoms S* \\ (S* + S*), the pseudo-Frobenius numbers (quantified over
-the atoms) and the reduced type.  A duplication's table is spread out of the
-closure of S and goes through the same scan.  ``naive_closure`` is a list
-view of the closure, which the slow all-members PF reference reads.  This
-module is the independent side of the verify harness (``nsg.oracle``): it
-imports the standard library and, from the core, the error classes only.
+F, the pseudo-Frobenius numbers and the reduced type.  PF is tested against
+the generators the closure was built from: f is in PF(S) iff f is a gap and
+f + g is in S for every generator g, since every s in S* is g + t with g a
+generator and t in S, so f + s = (f + g) + t.  A duplication's table is
+spread out of the closure of S and goes through the same scan, with the
+duplication's generators.  ``naive_closure`` is a list view of the closure,
+which the slow all-members PF reference reads.  This module is the
+independent side of the verify harness (``nsg.oracle``): it imports the
+standard library and, from the core, the error classes only.
 """
 
 from __future__ import annotations
@@ -160,14 +163,14 @@ class NaiveStats(NamedTuple):
         return "neither"
 
 
-def _stats_from_bits(bits: int) -> NaiveStats:
+def _stats_from_bits(bits: int, gens: Sequence[int]) -> NaiveStats:
     """The one definitional scan: F, PF and reduced type of a numerical semigroup.
 
-    ``bits`` holds S on [0, n), n = bits.bit_length(), and must reach F + m.
-    The atoms S* \\ (S* + S*) are peeled off lowest first; each one clears its
-    own translates a + S* from what is left.  PF is every gap f in [0, F] with
-    f + a in S for every atom a; that is exact because every element of S* is
-    a sum of atoms.  The reduced type counts [F - m + 1, F] \\ S.
+    ``bits`` holds S on [0, n), n = bits.bit_length(), and must reach F + m;
+    ``gens`` generate S, in any order and with repeats allowed.  PF is every
+    gap f in [0, F] with f + g in S for every generator g; that is exact
+    because every element of S* is a sum of generators.  The reduced type
+    counts [F - m + 1, F] \\ S.
     """
     n = bits.bit_length()
     gaps = bits ^ ((1 << n) - 1)
@@ -180,12 +183,8 @@ def _stats_from_bits(bits: int) -> NaiveStats:
         raise AssertionError("window too short to locate the Frobenius number")
     ext = bits | (-1 << (frob + 1))  # every x > F is in S
     cand = gaps
-    rem = star
-    while rem:
-        low = rem & -rem
-        a = low.bit_length() - 1
-        cand &= ext >> a
-        rem &= ~((star << a) | low)
+    for g in gens:
+        cand &= ext >> g
     pf = []
     while cand:
         low = cand & -cand
@@ -197,7 +196,7 @@ def _stats_from_bits(bits: int) -> NaiveStats:
 
 def naive_stats(gens: Sequence[int]) -> NaiveStats:
     """F, PF and reduced type of <gens>: one closure, one scan."""
-    return _stats_from_bits(_closure_bits(gens))
+    return _stats_from_bits(_closure_bits(gens), gens)
 
 
 def naive_frobenius(gens: Sequence[int]) -> int:
@@ -206,7 +205,7 @@ def naive_frobenius(gens: Sequence[int]) -> int:
 
 
 def naive_pf(gens: Sequence[int]) -> list[int]:
-    """PF by definition: non-members f in [-1, F] with f + a a member for every atom a."""
+    """PF by definition: non-members f in [-1, F] with f + g a member for every generator g."""
     return naive_stats(gens).pf
 
 
@@ -216,9 +215,9 @@ def naive_reduced_type(gens: Sequence[int]) -> int:
 
 
 def naive_pf_full(gens: Sequence[int]) -> list[int]:
-    """PF with the quantifier over *all* nonzero members, not just the atoms.
+    """PF with the quantifier over *all* nonzero members, not just the generators.
 
-    The reference that the atom shortcut of the one scan is tested against.
+    The reference that the generator shortcut of the one scan is tested against.
     """
     return _pf_over_all_members(naive_closure(gens))
 
@@ -271,4 +270,6 @@ def naive_duplication_stats(
         raise GridTooLargeError(f"duplication table needs more than {FROBENIUS_CAP + mult} cells")
     half = (1 << (bound // 2 + 1)) - 1
     dup = _spread(s_ext & half) | _spread(e_ext & half) << d
-    return _stats_from_bits(dup & ((1 << (bound + 1)) - 1))
+    # every element of D* is a sum of these: 2s of 2g's, and 2(e + s) + d = (2e + d) + 2s
+    dup_gens = {2 * g for g in s_gens} | {2 * e + d for e in e_gens}
+    return _stats_from_bits(dup & ((1 << (bound + 1)) - 1), dup_gens)

@@ -204,7 +204,7 @@ def _closed_stats(key: tuple[int, ...]) -> NaiveStats:
     else:
         bits = naive._closure_bits(key)
     memo[_LAST_CLOSURE] = key, bits
-    return naive._stats_from_bits(bits)
+    return naive._stats_from_bits(bits, key)
 
 
 def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
@@ -298,22 +298,26 @@ def _resolve_grid(grid: dict | None) -> dict:
     return merged
 
 
-def _cap(frobenius_estimate: int, what: str) -> None:
+def _cap(frobenius_estimate: int, what: str | tuple) -> None:
+    """Refuse an instance whose estimated Frobenius number passes the cap.  ``what``
+    labels it: a string, or (format string, *values), formatted only on refusal, for
+    the GAS grid's thousands of tuples."""
     cap = naive.FROBENIUS_CAP
     if frobenius_estimate > cap:
+        label = what if isinstance(what, str) else what[0].format(*what[1:])
         raise GridTooLargeError(
-            f"{what}: estimated Frobenius number {frobenius_estimate} exceeds {cap}"
+            f"{label}: estimated Frobenius number {frobenius_estimate} exceeds {cap}"
         )
 
 
 def _gas_tuples(bounds: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """The minimal GAS tuples under ``bounds``: the walk of ``FAMILIES["gas"]``
     (``Family.walk``, the one enumeration, building no semigroup) over 3..n0_max,
-    1..s_max, 1..d_max and 2..p_max, each capped as it is yielded."""
+    1..s_max, 1..d_max and 2..p_max, each capped on integers as it is yielded."""
     ranges = [range(low, high + 1) for low, high in zip((3, 1, 1, 2), bounds, strict=True)]
     out = []
     for values in fam.FAMILIES["gas"].walk(ranges):
-        _cap(fam.gas_frobenius_closed(fam.GasParams(*values)), f"gas{values}")
+        _cap(fam.gas_frobenius_closed(values), ("gas{}", values))
         out.append(values)
     return tuple(out)
 
@@ -739,7 +743,7 @@ def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
     if key is None:
         return instances
     chosen = [grid[key]] if grid.get(key) else row.readings
-    return [dict(inst, **{key: v}) for v in chosen for inst in instances]
+    return [{**inst, key: v} for v in chosen for inst in instances]
 
 
 def run_instance(claim_id: str, inst: dict) -> VerificationReport:

@@ -42,23 +42,24 @@ def test_gas_params_validation():
 
 
 def test_gas_domain_is_what_gas_params_accept_below_n0():
-    # the walk's domain test reads the same three refusals GasParams raises
-    in_domain = fam.FAMILIES["gas"].in_domain
+    # the walk's domain, p in last_bounds(n0, s, d), reads the same three refusals GasParams raises
+    last_bounds = fam.FAMILIES["gas"].last_bounds
     for n0, s, d, p in itertools.product(range(-1, 7), range(-1, 3), range(-1, 7), range(-1, 8)):
         try:
             accepted = fam.GasParams(n0, s, d, p).is_minimal_sequence
         except (InvalidParamError, GcdNotOneError):
             accepted = False
-        assert in_domain(n0, s, d, p) == accepted, (n0, s, d, p)
+        lo, hi = last_bounds(n0, s, d)
+        assert (lo <= p < hi) == accepted, (n0, s, d, p)
 
 
 def test_gas_sequence_and_split():
     p = fam.GasParams(5, 3, 7, 4)
     assert p.sequence == (5, 22, 29, 36, 43)
-    assert (p.a, p.b) == (1, 1)
+    assert p.b == 1
     p = fam.GasParams(12, 2, 5, 8)
     assert p.sequence == (12, 29, 34, 39, 44, 49, 54, 59, 64)
-    assert (p.a, p.b) == (1, 4)
+    assert p.b == 4
 
 
 def test_gas_semigroup_examples():
@@ -110,6 +111,25 @@ def test_gas_frobenius_estimate_past_p_ge_n0_stays_below_p_2():
                 at_2 = fam.gas_frobenius_closed(fam.GasParams(n0, s, d, 2))
                 for p in range(max(n0, 2), n0 + 10):
                     assert fam.gas_frobenius_closed(fam.GasParams(n0, s, d, p)) <= at_2, (n0, s, d, p)
+
+
+def test_gas_frobenius_estimate_is_the_last_closed_form_pf():
+    # the estimate and the closed form read any 4-tuple; on every tuple of the full
+    # grid and of bounds (24, 3, 25, 8) a plain tuple gives what GasParams gives,
+    # in both variants, and the sequence is n0 then s*n0 + i*d for i = 1..p
+    for bounds in ((16, 3, 17, 7), (24, 3, 25, 8)):
+        ranges = [range(low, high + 1) for low, high in zip((3, 1, 1, 2), bounds)]
+        for values in fam.FAMILIES["gas"].walk(ranges):
+            params = fam.GasParams(*values)
+            n0, s, d, p = values
+            assert params.sequence == (n0,) + tuple(s * n0 + i * d for i in range(1, p + 1))
+            for variant in fam.GAS_PF_VARIANTS:
+                top = fam.gas_pf_closed(params, variant)[-1]
+                assert fam.gas_pf_closed(values, variant) == fam.gas_pf_closed(params, variant)
+                assert fam.gas_frobenius_closed(values, variant) == top, (values, variant)
+                assert fam.gas_frobenius_closed(params, variant) == top, (values, variant)
+    with pytest.raises(InvalidParamError):
+        fam.gas_frobenius_closed((5, 3, 7, 4), "bogus")
 
 
 def test_gas_pf_closed_b1():
