@@ -354,7 +354,8 @@ def ideal_star(s: NumericalSemigroup) -> SemigroupIdeal:
 
 
 class DuplicationSpec:
-    """Validated duplication data: ideal E of S and an odd d in S."""
+    """Validated duplication data: ideal E of S and an odd d in S.  The closed-form PF
+    is computed once per spec, when first asked for."""
 
     def __init__(self, s: NumericalSemigroup, e: SemigroupIdeal, d: int):
         if e.ambient != s:
@@ -364,6 +365,11 @@ class DuplicationSpec:
         self.e = e
         self.d = d
         self.e_kind: IdealKind = e.kind
+
+    @cached_property
+    def _pf(self) -> tuple[int, ...]:
+        # a refusal raises out of cached_property, which then keeps nothing
+        return tuple(_duplication_pf(self))
 
     def __repr__(self) -> str:
         return f"DuplicationSpec({self.s}, {self.e}, d={self.d})"
@@ -407,8 +413,13 @@ def duplication_pf(spec: DuplicationSpec) -> list[int]:
     PF(S); otherwise PF is D1 u D2 with D1 = {2f : f in PF(S) n PF(E~)} and
     D2 = {2f+d : f in PF(E~), f+s in E for every s in S \\ E~} (the D2
     condition only needs checking for s <= cond(E) - f; beyond that it is
-    automatic).
+    automatic).  ``spec`` computes the set once; each call returns a new list.
     """
+    return list(spec._pf)
+
+
+def _duplication_pf(spec: DuplicationSpec) -> list[int]:
+    """``duplication_pf``, computed: ``DuplicationSpec._pf`` calls it once per spec."""
     _require_proper_ambient_for_star(spec)
     pf_s = spec.s.pf_set()
     d = spec.d
@@ -439,7 +450,7 @@ def duplication_type_closed(spec: DuplicationSpec) -> int:
         return len(spec.s.pf_set())
     if spec.e_kind is IdealKind.STAR:
         return 2 * len(spec.s.pf_set()) + 1
-    return len(duplication_pf(spec))
+    return len(spec._pf)
 
 
 class Verdict(Enum):
@@ -481,7 +492,7 @@ def duplication_min_classifier(spec: DuplicationSpec) -> MinClassification:
             # d = 2F(S) cannot happen: d is odd
             ok = mult < frob + 1
             return MinClassification("ii.a.2", Verdict.TRUE if ok else Verdict.FALSE)
-        pf_dup = duplication_pf(spec)  # size 2*type+1 >= 5 here
+        pf_dup = spec._pf  # size 2*type+1 >= 5 here
         if pf_dup[-2] != 2 * frob:
             if prof.extremality.is_minimal:
                 return MinClassification("ii.b.1", Verdict.SUFFICIENT_ONLY_TRUE)
@@ -494,7 +505,7 @@ def duplication_min_classifier(spec: DuplicationSpec) -> MinClassification:
         if tilde_minimal:
             return MinClassification("iii.a", Verdict.SUFFICIENT_ONLY_TRUE)
         return MinClassification("iii.a", Verdict.NO_CONCLUSION)
-    pf_dup = duplication_pf(spec)
+    pf_dup = spec._pf
     max_pf_prime = pf_dup[-2] if len(pf_dup) >= 2 else None
     if max_pf_prime != 2 * frob:
         if tilde_minimal:

@@ -12,15 +12,18 @@ oracle's answer; a one-way soundness check passes unless the closed form
 contradicts the oracle.  Mismatches are findings to surface, never to patch
 away.  One verify run (``verify_run``) keeps one memo of what it asks more
 than once: an oracle answer per distinct semigroup and per distinct
-duplication, and on the closed-form side a core semigroup per generator
-tuple, an ideal per (generators, ideal generators), a GAS instance per
-(n0, s, d, p) and the GAS grid per bounds.  It also keeps one closure, the
-last the run made: a semigroup whose generators are those plus one larger
-generator, as GAS(n0, s, d, p) follows GAS(n0, s, d, p - 1) in the grid, is
-closed by extending it.  The memo is dropped when the run ends.  Its oracle
-answers are immutable, with PF as a tuple, so a lookup hands out the stored
-answer with no copy.  Outside a run the checks compute afresh, and direct
-``naive_*`` calls are never cached and return PF lists.
+duplication; one row per GAS tuple (n0, s, d, p), holding its parameters,
+its oracle answer, its ``/b=…`` tag and the oracle's maximal and minimal
+flags, so that every GAS reading after the first answers a tuple with one
+lookup; and on the closed-form side a core semigroup per generator tuple,
+an ideal per (generators, ideal generators) and the GAS grid per bounds.
+It also keeps one closure, the last the run made: a semigroup whose
+generators are those plus one larger generator, as GAS(n0, s, d, p)
+follows GAS(n0, s, d, p - 1) in the grid, is closed by extending it.  The
+memo is dropped when the run ends.  Its oracle answers are immutable, with
+PF as a tuple, so a lookup hands out the stored answer with no copy.
+Outside a run the checks compute afresh, and direct ``naive_*`` calls are
+never cached and return PF lists.
 Each report is one JSON line, written by one encoder built per process.
 """
 
@@ -30,9 +33,9 @@ import json
 import math
 import operator
 import os
-import time
 from contextlib import contextmanager
 from functools import partial
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import constructions as cons
@@ -137,12 +140,17 @@ class VerificationReport:
 # tagged tuples, and every answer is a pure function of its key and immutable
 # where it is shared: oracle answers are frozen with PF as a tuple (a check
 # that reports PF hands the judge its own ``list(stats.pf)``), core
-# semigroups, GAS parameters and grids are immutable, and an ideal only
-# caches what it derives.  A value is stored once its builder returns, so an
-# error is never stored.  The oracle answers and the core objects share this
-# dict but no code path.  The memo is module-level because verify runs in one
-# thread; a concurrent caller can lose hits, never get a wrong answer: the
-# last closure is read and written as one (key, bits) pair.
+# semigroups, GAS rows and grids are immutable, and an ideal only caches
+# what it derives.  A GAS tuple's row (``_GasRow``) holds all that its
+# checks ask of the memo: the parameters, the oracle answer (kept under its
+# own ``stats`` key too), the ``/b=…`` tag and the oracle's two extremality
+# flags.  The first instance that asks builds it inside its timed span; every
+# check still evaluates its own closed form.  A value is stored once its
+# builder returns, so an error is never stored.  The oracle answers and the
+# core objects share this dict but no code path.  The memo is module-level
+# because verify runs in one thread; a concurrent caller can lose hits, never
+# get a wrong answer: the last closure is read and written as one (key, bits)
+# pair.
 
 _run_memo: dict | None = None
 
@@ -182,7 +190,11 @@ def _frozen(stats: NaiveStats) -> NaiveStats:
 
 def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
     """``naive_stats(gens)`` with PF as a tuple, once per distinct generator set in a run."""
-    key = _canon(gens)
+    return _canonical_stats(_canon(gens))
+
+
+def _canonical_stats(key: tuple[int, ...]) -> NaiveStats:
+    """``_oracle_stats`` of generators already ascending and without repeats."""
     return _recall(("stats", key), lambda: _frozen(_closed_stats(key)))
 
 
@@ -227,15 +239,29 @@ def _ideal(gens: Sequence[int], ideal: Sequence[int]) -> cons.SemigroupIdeal:
     return _recall(key, lambda: cons.SemigroupIdeal(_semigroup(gens), ideal))
 
 
-def _gas(inst: dict) -> tuple[fam.GasParams, NaiveStats]:
-    """A GAS instance's parameters and oracle answer, once per (n0, s, d, p) in a run."""
+class _GasRow(NamedTuple):
+    """What every GAS check asks of one tuple: its parameters, the oracle's frozen
+    answer, the ``/b=…`` tag and the oracle's two extremality flags."""
+
+    params: fam.GasParams
+    stats: NaiveStats
+    b_tag: str
+    is_maximal: bool
+    is_minimal: bool
+
+
+def _gas(inst: dict) -> _GasRow:
+    """A GAS tuple's row, built by the first instance that asks and looked up by the rest."""
     key = ("gas", inst["n0"], inst["s"], inst["d"], inst["p"])
-
-    def build() -> tuple[fam.GasParams, NaiveStats]:
+    memo = _run_memo
+    row = None if memo is None else memo.get(key)
+    if row is None:
         params = fam.GasParams(*key[1:])
-        return params, _oracle_stats(fam.gas_generators(params))
-
-    return _recall(key, build)
+        stats = _canonical_stats(fam.gas_generators(params))
+        row = _GasRow(params, stats, f"/b={params.b}", stats.is_maximal, stats.is_minimal)
+        if memo is not None:
+            memo[key] = row
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -510,26 +536,24 @@ Check = tuple[str, list, list]
 
 
 def _check_gas_pf(inst: dict) -> Check:
-    params, stats = _gas(inst)
+    row = _gas(inst)
+    variant = inst["variant"]
     return (
-        f"/b={params.b}/variant={inst['variant']}",
-        [fam.gas_pf_closed(params, inst["variant"])],
-        [list(stats.pf)],
+        f"{row.b_tag}/variant={variant}",
+        [fam.gas_pf_closed(row.params, variant)],
+        [list(row.stats.pf)],
     )
 
 
 def _check_gas_maximal(inst: dict) -> Check:
-    params, stats = _gas(inst)
-    return f"/b={params.b}", [fam.gas_maximal_predicate(params)], [stats.is_maximal]
+    row = _gas(inst)
+    return row.b_tag, [fam.gas_maximal_predicate(row.params)], [row.is_maximal]
 
 
 def _check_gas_minimal(inst: dict) -> Check:
-    params, stats = _gas(inst)
-    return (
-        f"/mode={inst['mode']}",
-        [fam.gas_minimal_predicate(params, inst["mode"])],
-        [stats.is_minimal],
-    )
+    row = _gas(inst)
+    mode = inst["mode"]
+    return f"/mode={mode}", [fam.gas_minimal_predicate(row.params, mode)], [row.is_minimal]
 
 
 def _family_gens(name: str, inst: dict) -> Sequence[int]:
@@ -748,11 +772,11 @@ def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
 
 def run_instance(claim_id: str, inst: dict) -> VerificationReport:
     """Check one instance of a registered claim and judge it; ``elapsed`` times both."""
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     row = _CLAIMS[claim_id]
     tag, closed_form, got = row.check(inst)
     report = VerificationReport(claim_id + tag, inst, closed_form, got, row.judge(closed_form, got))
-    report.elapsed = time.perf_counter() - t0
+    report.elapsed = perf_counter() - t0
     return report
 
 

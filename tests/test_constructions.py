@@ -241,6 +241,26 @@ def test_duplication_pf_three_cases():
     ) == [13, 15]
 
 
+def test_duplication_pf_is_computed_once_per_spec(monkeypatch):
+    # the PF, the type and the classifier share one computation, and each
+    # duplication_pf call hands out a new list
+    computed = []
+    compute = cons._duplication_pf
+    monkeypatch.setattr(cons, "_duplication_pf", lambda spec: computed.append(1) or compute(spec))
+    s35 = NumericalSemigroup([3, 5])
+    spec = DuplicationSpec(s35, SemigroupIdeal(s35, [3, 10]), 5)
+    pf = cons.duplication_pf(spec)
+    pf.append(-1)
+    assert cons.duplication_pf(spec) == [14, 15, 19]
+    assert cons.duplication_pf(spec) is not cons.duplication_pf(spec)
+    assert cons.duplication_type_closed(spec) == 3
+    assert cons.duplication_min_classifier(spec).clause == "iii.b.1"  # reads PF(D)[-2]
+    assert len(computed) == 1
+    # a new spec of the same data computes afresh
+    cons.duplication_min_classifier(DuplicationSpec(s35, SemigroupIdeal(s35, [3, 10]), 5))
+    assert len(computed) == 2
+
+
 def test_duplication_pf_matches_constructed():
     for ideal_gens, d in [([5, 6, 7], 11), ([3, 4, 5], 11), ([0], 11), ([4, 5], 3)]:
         spec = DuplicationSpec(S345, SemigroupIdeal(S345, ideal_gens), d)
@@ -358,13 +378,15 @@ def test_star_closed_forms_refuse_full_ambient():
     n = naturals()
     spec = DuplicationSpec(n, cons.ideal_star(n), 3)
     assert cons.duplicate(spec) == NumericalSemigroup([2, 5])
+    # on every call: a refusal is never kept as the spec's PF
     for fn in (
         cons.duplication_pf,
         cons.duplication_type_closed,
         cons.duplication_min_classifier,
-    ):
+    ) * 2:
         with pytest.raises(cons.InvalidParamError):
             fn(spec)
+    assert "_pf" not in vars(spec)
     # E = N itself stays fine: PF(N bowtie^1 N) = {-1}
     spec = DuplicationSpec(n, cons.ideal_full(n), 1)
     assert cons.duplication_pf(spec) == [-1]

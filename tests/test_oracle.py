@@ -9,6 +9,8 @@ import os
 import random
 import sys
 import tracemalloc
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from conftest import run_cli
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nsg.constructions as cons
 import nsg.core as core
 import nsg.families as fam
 import nsg.naive as naive
@@ -588,11 +591,123 @@ def test_gluing_grids_are_capped_by_the_gluing_frobenius(monkeypatch):
     assert len(oracle.claim_instances("cor-4.6", full)) == 64
 
 
-def test_full_grid_matches_golden_jsonl():
+def test_full_grid_matches_golden_jsonl(monkeypatch):
+    # the same run pins what it keeps and what it recomputes: one memo row per
+    # GAS tuple, whose answer is the run's own entry for its generators, which
+    # are looked up as given (no _canon), and one closed-form PF per
+    # duplication spec, which thm-5.2's PF and type share
     with gzip.open(FULL_JSONL, "rt") as fh:
         golden = fh.read().splitlines()
     assert len(golden) == 12192
-    assert [r.json_line() for r in verify_claim("all", {"preset": "full"})] == golden
+    canon = _counted(monkeypatch, oracle, "_canon")
+    dup_pf = _counted(monkeypatch, cons, "_duplication_pf")
+    with oracle.verify_run() as memo:
+        assert [r.json_line() for r in verify_claim("all", {"preset": "full"})] == golden
+        tags = Counter(key[0] for key in memo)
+        rows = [(key, row) for key, row in memo.items() if key[0] == "gas"]
+    assert tags == {
+        "stats": 2450, "dup": 186, "gas": 2187, "ideal": 26, "semigroup": 9,
+        "gas grid": 1, "last closure": 1,
+    }
+    for key, row in rows:
+        assert type(row) is oracle._GasRow and row.params == key[1:]
+        assert row.stats is memo["stats", fam.gas_generators(row.params)]
+    assert len(canon) == 1692
+    assert len(dup_pf) == 208
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` for the test; the returned list gets one item per call."""
+    calls, orig = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _gas_plan(preset: str) -> list[tuple[str, dict]]:
+    """The five GAS readings' instances of a preset, in verify's order."""
+    return [
+        (claim, inst)
+        for claim in ("thm-3.1", "prop-3.2", "prop-3.3")
+        for inst in oracle.claim_instances(claim, {"preset": preset})
+    ]
+
+
+def test_gas_row_is_built_by_the_first_instance_that_asks():
+    # planning adds the grid and no row; the first instance of a tuple adds its
+    # row (with its stats and the last closure), and every later reading none
+    plan = _gas_plan("smoke")
+    with oracle.verify_run() as memo:
+        for claim in ("thm-3.1", "prop-3.2", "prop-3.3"):
+            oracle.claim_instances(claim, {"preset": "smoke"})
+        assert list(memo) == [("gas grid", 8, 2, 9, 4)]
+        oracle.run_instance(*plan[0])
+        assert Counter(key[0] for key in memo) == {
+            "gas grid": 1, "gas": 1, "stats": 1, "last closure": 1
+        }
+        for claim, inst in plan:
+            oracle.run_instance(claim, inst)
+        size = len(memo)
+        assert Counter(key[0] for key in memo)["gas"] == len(plan) // 5 == 176
+        for claim, inst in plan:
+            oracle.run_instance(claim, inst)
+        assert len(memo) == size
+
+
+def test_gas_hit_asks_no_engine_canon_or_params(monkeypatch):
+    # once the run holds a tuple's row, its instances are answered by one lookup
+    # and their own closed form: no naive function, no _canon, no GasParams
+    plan = _gas_plan("smoke")
+    with oracle.verify_run():
+        first = [oracle.run_instance(claim, inst) for claim, inst in plan]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached on a memo hit")
+
+        refused = set()
+        for owner in (naive, oracle):
+            for name, value in vars(owner).items():
+                if isinstance(value, types.FunctionType) and value.__module__ == naive.__name__:
+                    monkeypatch.setattr(owner, name, refuse)
+                    refused.add(name)
+        assert {"naive_stats", "_closure_bits", "_extend_closure", "_stats_from_bits"} <= refused
+        monkeypatch.setattr(oracle, "_canon", refuse)
+        monkeypatch.setattr(fam, "GasParams", refuse)
+        again = [oracle.run_instance(claim, inst) for claim, inst in plan]
+    assert again == first
+
+
+def test_gas_row_flags_are_the_oracles():
+    # every smoke tuple, all four (maximal, minimal) pairs among them
+    flags = set()
+    with oracle.verify_run():
+        for inst in oracle._gas_instances(oracle._PRESETS["smoke"]):
+            row = oracle._gas(inst)
+            params = fam.GasParams(**inst)
+            want = naive_stats(fam.gas_generators(params))
+            assert row.params == params
+            assert row.stats == (tuple(want.pf), want.reduced_type, want.frobenius)
+            assert (row.is_maximal, row.is_minimal) == (want.is_maximal, want.is_minimal)
+            assert row.b_tag == f"/b={params.n0 % params.p}"
+            flags.add((row.is_maximal, row.is_minimal))
+    assert len(flags) == 4
+
+
+def test_gas_row_hands_each_report_its_own_pf():
+    # within one run: the AsStated reading's oracle lists, appended to, leave
+    # the Corrected reading, answered from the same rows, as a fresh run gives it
+    plan = oracle.claim_instances("thm-3.1", {"preset": "smoke"})
+    stated, corrected = plan[: len(plan) // 2], plan[len(plan) // 2 :]
+    assert {inst["variant"] for inst in corrected} == {"Corrected"}
+    want = [oracle.run_instance("thm-3.1", inst) for inst in corrected]
+    with oracle.verify_run():
+        for inst in stated:
+            oracle.run_instance("thm-3.1", inst).oracle[0].append(-7)
+        assert [oracle.run_instance("thm-3.1", inst) for inst in corrected] == want
 
 
 def test_smoke_grid_matches_golden_jsonl(monkeypatch):
