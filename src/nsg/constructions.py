@@ -164,8 +164,22 @@ def max_coeff_representation(gens: Sequence[int], target: int) -> list[int] | No
     largest coefficient sum; None if target is not in <gens>.
 
     A forward max-sum DP with back-pointers; a cell keeps the first generator
-    that strictly improves it.
+    that strictly improves it.  The DP needs no cell past
+    B = (n1 - 1)(n2 + ... + nk), n1 the least generator: a representation of
+    t > B without n1 has some c_i >= n1, and trading those n1 copies of n_i
+    for n_i copies of n1 lengthens it.  So every longest representation of
+    t > B uses n1, its length is one more than that of t - n1, and t is in
+    <gens> iff t - n1 is.  The target therefore drops by q copies of n1 to
+    the largest t' <= B in its class, the DP runs to t', and n1's coefficient
+    gains q.  When n1 comes first in gens, as in ``minimal_generators``, a DP
+    run to the whole target keeps n1 at every cell past B, so the
+    coefficients are exactly that DP's; in any order the sum is the largest.
     """
+    n1 = min(gens)
+    q = max(0, -((target - (n1 - 1) * (sum(gens) - n1)) // -n1))
+    target -= q * n1
+    if target < 0:
+        return None
     best = [-1] * (target + 1)
     best[0] = 0
     back = [0] * (target + 1)
@@ -177,6 +191,7 @@ def max_coeff_representation(gens: Sequence[int], target: int) -> list[int] | No
     if best[target] < 0:
         return None
     coeffs = [0] * len(gens)
+    coeffs[gens.index(n1)] = q
     x = target
     while x:
         coeffs[gens.index(back[x])] += 1

@@ -4,13 +4,16 @@ A numerical semigroup is a cofinite additive submonoid of the nonnegative
 integers, given by generators with gcd 1.  Everything here is exact integer
 arithmetic read off the Apery set of the multiplicity: the member test,
 Frobenius number, genus, pseudo-Frobenius numbers, type, reduced type, and
-the maximal/minimal reduced-type classification.  The Apery set comes from
-a scan that holds the members in each window [jm, (j+1)m) as one m-bit int
-and settles the residues window by window; Dijkstra on the residues mod m
-finishes what the scan leaves.
+the maximal/minimal reduced-type classification.  A scan holds the members
+in each window [jm, (j+1)m) as one m-bit int; window j's new bits are the
+Apery elements in it.  When the scan ends on a full window, the semigroup
+keeps Ap(S, m) as one int of at most 2**22 bits and reads F, the genus,
+PF and the reduced type with whole-int operations, building the per-residue
+table only on request.  Otherwise Dijkstra on the residues mod m finishes
+the table from the last windows, and every invariant is read off the table.
 
 ``NumericalSemigroup`` is immutable after construction and safe to share
-across threads; all operations are pure reads.
+across threads; all operations are pure reads or idempotent caches.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import operator
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Apery sets are rejected beyond this many residues, before anything is
 # allocated.  Cost grows about linearly in the modulus: for
@@ -31,13 +34,11 @@ from typing import Iterable, NamedTuple, Sequence
 # Sweeps in this package stay far below it.
 TABLE_LIMIT = 1 << 22
 
-# The window scan of ``_apery`` holds at most this many windows of n bits, and
+# The window scan (``_scan``) holds at most this many windows of n bits, and
 # at most this many bits in all, so that a large modulus whose first windows
 # settle a few residues each pays for only a few windows.
 _WINDOWS = 64
 _SCAN_BITS = 1 << 22
-# Spreads a bit string over bytes, one bit a byte.
-_LANES = bytes.maketrans(b"01", b"\0\1")
 
 
 class SemigroupError(ValueError):
@@ -107,11 +108,12 @@ class PFProfile(NamedTuple):
 class NumericalSemigroup:
     """The numerical semigroup generated by ``gens``.
 
-    Construction validates the input (nonempty, positive, gcd 1) and computes
-    the Apery set of the multiplicity m, the one stored table: entry r is the
-    least member congruent to r mod m.  The member test, the Frobenius number,
-    the genus, the minimal generators and the pseudo-Frobenius numbers are all
-    read off it.
+    Construction validates the input (nonempty, positive, gcd 1) and scans
+    the windows of Ap(S, m), m the multiplicity.  A scan that settles every
+    residue leaves ``_bits``, Ap(S, m) as one int (bit w for each Apery
+    element w); ``_apery``, the table whose entry r is the least member
+    congruent to r mod m, is then built from it on first use.  A scan that
+    hands over leaves ``_bits`` None and the table finished by Dijkstra.
     """
 
     def __init__(self, gens: Iterable[int]):
@@ -127,30 +129,48 @@ class NumericalSemigroup:
 
         self.generators: tuple[int, ...] = supplied
         m = unique[0]
-        self._apery: tuple[int, ...] = tuple(_apery(unique, m))
         self.multiplicity: int = m
-        self.frobenius: int = max(self._apery) - m
-        # Selmer's formula: class r holds (w - r) / m gaps below its Apery element w
-        self.genus: int = (sum(self._apery) - m * (m - 1) // 2) // m
+        scan = _, news, full = _scan(unique, m)
+        if not full:
+            self._bits: int | None = None
+            self._apery: tuple[int, ...] = tuple(_apery(unique, m, scan))
+            ap = self._apery
+            self.frobenius: int = max(ap) - m
+            # Selmer's formula: class r holds (w - r) / m gaps below its Apery element w
+            self.genus: int = (sum(ap) - m * (m - 1) // 2) // m
+        else:
+            self._bits = a = _join(news, m)
+            self.frobenius = a.bit_length() - 1 - m
+            # Selmer again: an Apery element in window j has j gaps below it in its class
+            self.genus = sum(j * w.bit_count() for j, w in enumerate(news))
         # m is minimal, and so is any n < 2m: a split into two nonzero members
         # would sum to at least 2m.  Any other n with n != Ap[n mod m] is
         # m + (n - m), two nonzero members.  An Apery element n is minimal iff
         # n - g is a member for no smaller minimal generator g (a smaller
         # non-minimal one would split into a minimal g and a member, so it adds
-        # no case).
-        ap = self._apery
+        # no case).  Only a generator of 2m or more reads the table, so on the
+        # bit route an input without one never builds it.
         mins = [m]
         for n in unique[1:]:
-            if n < 2 * m or (n == ap[n % m] and not any(self.contains(n - g) for g in mins)):
+            if n < 2 * m or (n == self._apery[n % m] and not any(self.contains(n - g) for g in mins)):
                 mins.append(n)
         self.minimal_generators: tuple[int, ...] = tuple(mins)
+
+    @cached_property
+    def _apery(self) -> tuple[int, ...]:
+        # reached on the bit route only: the table route stores the table in __init__
+        m = self.multiplicity
+        table = [0] * m
+        for w in _ones(self._bits):
+            table[w % m] = w
+        return tuple(table)
 
     @property
     def conductor(self) -> int:
         return self.frobenius + 1
 
     def contains(self, x: int) -> bool:
-        """True iff ``x`` is in the semigroup (O(1); any integer accepted)."""
+        """True iff ``x`` is in the semigroup (O(1) once the table exists; any integer accepted)."""
         return x >= 0 and x >= self._apery[x % self.multiplicity]
 
     __contains__ = contains
@@ -171,12 +191,19 @@ class NumericalSemigroup:
     def _pf(self) -> tuple[int, ...]:
         # w - m is pseudo-Frobenius iff w is maximal in Ap(S, m) under the
         # semigroup order: for no minimal g > m is w + g an Apery element.
+        # On the bit route that is every w at once: A & ~OR_g (A >> g).
         # For S = N there is no g > m and PF is the conventional {-1}.
-        ap, m = self._apery, self.multiplicity
+        a, m = self._bits, self.multiplicity
         above = self.minimal_generators[1:]
         if not above:
             return (-1,)
-        return tuple(sorted(ap[r] - m for r in _maximal_classes(ap, above)))
+        if a is None:
+            ap = self._apery
+            return tuple(sorted(ap[r] - m for r in _maximal_classes(ap, above)))
+        top = 0
+        for g in above:
+            top |= a >> g
+        return tuple(w - m for w in _ones(a & ~top))
 
     def pf_set(self) -> list[int]:
         """Pseudo-Frobenius numbers, ascending: maximal Apery elements minus the multiplicity."""
@@ -194,9 +221,12 @@ class NumericalSemigroup:
         """
         pf = self._pf
         cm_type = len(pf)
-        frob, m = self.frobenius, self.multiplicity
+        frob, m, a = self.frobenius, self.multiplicity, self._bits
         low = frob - m + 1
-        reduced = sum(map(frob.__lt__, self._apery))
+        if a is None:
+            reduced = sum(map(frob.__lt__, self._apery))
+        else:
+            reduced = (a >> (frob + 1)).bit_count()
         maximal = pf[0] >= low
         minimal = cm_type == 1 or pf[-2] < low
         if maximal != (reduced == cm_type) or minimal != (reduced == 1):
@@ -236,62 +266,69 @@ class NumericalSemigroup:
         return f"NumericalSemigroup<{', '.join(map(str, self.minimal_generators))}>"
 
 
-def _apery(gens: Iterable[int], n: int) -> list[int]:
-    """Least member of <gens> in each residue class mod ``n``, a member of <gens>.
+def _scan(gens: Iterable[int], n: int) -> tuple[list[int], list[int], bool]:
+    """The window scan of Ap(<gens>, n): the steps, each window's new members,
+    and whether the last window holds every residue.
 
-    When every step (a generator that is not a multiple of n) exceeds n, as
-    on the constructor's call with n = m, a window scan runs first.  Window j
-    holds the members in [jn, (j+1)n) as an n-bit int, bit i for jn + i.  A
-    member x = jn + i > 0 is x - n or x - g for a member x - g and a step
-    g = qn + t (q >= 1, 0 < t < n), and x - g lies in window j - q if i >= t,
-    in window j - q - 1 if i < t.  So window j is window j - 1 ORed with two
-    shifts of earlier windows per step, and the first window that holds
-    residue r gives Ap[r] = jn + r.  Each window is added into byte lanes in
-    one C-level pass over its bit string, so a residue held by c of the k
-    windows first appeared in window k - c.
+    A step is a generator that is not a multiple of n.  The scan runs only
+    when every step exceeds n, as on the constructor's call with n = m;
+    otherwise it returns no windows.  Window j holds the members in
+    [jn, (j+1)n) as an n-bit int, bit i for jn + i.  A member x = jn + i > 0
+    is x - n or x - g for a member x - g and a step g = qn + t (q >= 1,
+    0 < t < n), and x - g lies in window j - q if i >= t, in window j - q - 1
+    if i < t.  So window j is window j - 1 ORed with two shifts of earlier
+    windows per step, and its new bits, window j & ~window j - 1, are
+    exactly the Apery elements in [jn, (j+1)n).
 
     The scan hands over once a window settles fewer than 2 residues, or once
-    it holds ``_WINDOWS`` windows or ``_SCAN_BITS`` bits.  Then every member
-    below kn is settled.  An unsettled Apery element is a step above an Apery
-    element, and the first such step up from a settled one leaves from the
-    last ceil(max step / n) windows.  So Dijkstra on the residues mod n with
-    the steps as edge weights (Nijenhuis 1979) finishes from those elements
-    alone.  A heap entry v stands for residue v % n; gcd 1 guarantees every
-    class is reached.  With a step below n only Dijkstra runs, from 0.
+    it holds ``_WINDOWS`` windows or ``_SCAN_BITS`` bits.  The modulus is
+    checked against ``TABLE_LIMIT`` before anything is allocated.
     """
     if n > TABLE_LIMIT:
         raise TableLimitError(f"an Apery set mod {n} exceeds {TABLE_LIMIT} residues")
     steps = [g for g in gens if g % n]
+    if not steps or min(steps) < n:
+        return steps, [], False
+    mask = (1 << n) - 1
+    cap = min(_WINDOWS, _SCAN_BITS // n)
+    # a step of cap * n or more reaches no held window
+    reach = [(g // n, g % n) for g in steps if g < cap * n]
+    held = [0] * cap + [1]  # window 0 is {0}; the zeros stand for windows below it
+    news = [1]
+    while len(held) < 2 * cap:
+        hi = lo = 0
+        for q, t in reach:
+            hi |= held[-q] << t
+            lo |= held[-q - 1] >> (n - t)
+        held.append(held[-1] | hi & mask | lo)
+        news.append(held[-1] ^ held[-2])
+        if news[-1].bit_count() < 2:
+            break
+    return steps, news, held[-1] == mask
+
+
+def _apery(gens: Iterable[int], n: int, scan: tuple | None = None) -> list[int]:
+    """Least member of <gens> in each residue class mod ``n``, a member of <gens>.
+
+    ``_scan`` (or its result, passed as ``scan``) settles every member below
+    kn, for the k windows it held.  An unsettled Apery element is a step
+    above an Apery element, and the first such step up from a settled one
+    leaves from the last ceil(max step / n) windows.  So Dijkstra on the
+    residues mod n with the steps as edge weights (Nijenhuis 1979) finishes
+    from those elements alone, and from none when the scan settled every
+    residue.  A heap entry v stands for residue v % n; gcd 1 guarantees
+    every class is reached.  With a step below n only Dijkstra runs, from 0.
+    """
+    steps, news, full = scan or _scan(gens, n)
     dist: list = [0] + [math.inf] * (n - 1)
     heap = [0]
-    if steps and min(steps) > n:
-        mask = (1 << n) - 1
-        cap = min(_WINDOWS, _SCAN_BITS // n)
-        # a step of cap * n or more reaches no held window
-        reach = [(g // n, g % n) for g in steps if g < cap * n]
-        held = [0] * cap + [1]  # window 0 is {0}; the zeros stand for windows below it
-        lanes = 1  # byte r counts the held windows that hold residue r
-        while len(held) < 2 * cap:
-            hi = lo = 0
-            for q, t in reach:
-                hi |= held[-q] << t
-                lo |= held[-q - 1] >> (n - t)
-            prev = held[-1]
-            held.append(prev | hi & mask | lo)
-            lanes += int.from_bytes(bin(held[-1])[2:].encode().translate(_LANES), "big")
-            if (held[-1] ^ prev).bit_count() < 2:
-                break
-        # Dijkstra starts from the residues first held by the last ceil(max step / n)
-        # windows, and from none once the last window holds every residue
-        k = len(held) - cap
-        back = -(-max(steps) // n) if held[-1] != mask else 0
-        flags = bin(held[-1])[:1:-1].encode().translate(_LANES)
+    if news:
+        start = (len(news) if full else len(news) + -max(steps) // n) * n
         heap = []
-        for r, c in zip(compress(range(n), flags), compress(lanes.to_bytes(n, "little"), flags)):
-            dist[r] = v = (k - c) * n + r
-            if c <= back:
-                heap.append(v)
-        heapq.heapify(heap)
+        for v in _ones(_join(news, n)):
+            dist[v % n] = v
+            if v >= start:
+                heap.append(v)  # ascending, so the list is already a heap
     while heap:
         w = heapq.heappop(heap)
         if w > dist[w % n]:
@@ -303,6 +340,23 @@ def _apery(gens: Iterable[int], n: int) -> list[int]:
                 dist[r] = v
                 heapq.heappush(heap, v)
     return dist
+
+
+def _join(news: list[int], n: int) -> int:
+    """The windows' new bits as one int: window j's n bits from bit jn up."""
+    a = 0
+    for w in reversed(news):
+        a = a << n | w
+    return a
+
+
+def _ones(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x`` >= 0, ascending."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _maximal_classes(table: Sequence[int], steps: Sequence[int]) -> list[int]:

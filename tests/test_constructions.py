@@ -1,7 +1,10 @@
 import itertools
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsg.constructions as cons
 from nsg.core import EmptyGeneratorsError, Extremality, GcdNotOneError, NumericalSemigroup, naturals
@@ -108,6 +111,54 @@ def test_max_coeff_sum():
     assert cons.max_coeff_representation((5, 6, 7), 26) == [4, 1, 0]
     assert cons.max_coeff_representation((5, 6, 7), 23) == [2, 1, 1]
     assert cons.max_coeff_representation((5, 6, 7), 4) is None
+
+
+def _dp_max_coeff_representation(gens, target):
+    """The max-sum DP run to the whole target: the reference for the reduced one."""
+    best = [-1] * (target + 1)
+    best[0] = 0
+    back = [0] * (target + 1)
+    for x in range(1, target + 1):
+        for g in gens:
+            if g <= x and best[x - g] >= 0 and best[x - g] + 1 > best[x]:
+                best[x] = best[x - g] + 1
+                back[x] = g
+    if best[target] < 0:
+        return None
+    coeffs = [0] * len(gens)
+    x = target
+    while x:
+        coeffs[gens.index(back[x])] += 1
+        x -= back[x]
+    return coeffs
+
+
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=5, unique=True), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduced_max_coeff_dp_matches_the_whole_target_dp(gens, data):
+    gens = sorted(gens)
+    bound = (gens[0] - 1) * sum(gens[1:])
+    target = data.draw(st.integers(0, 3 * bound + 3 * gens[-1]))
+    expected = _dp_max_coeff_representation(gens, target)
+    assert cons.max_coeff_representation(gens, target) == expected
+    # in another order the coefficients may differ, but not their sum
+    shuffled = data.draw(st.permutations(gens))
+    got = cons.max_coeff_representation(shuffled, target)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert sum(got) == sum(expected)
+        assert sum(c * g for c, g in zip(got, shuffled)) == target
+
+
+def test_max_coeff_representation_of_a_huge_target_needs_no_table():
+    # B = 4 * (6 + 7) = 52, so 10**12 + 1 drops by q copies of 5 to 51 and the
+    # DP runs to 51
+    t0 = time.perf_counter()
+    coeffs = cons.max_coeff_representation((5, 6, 7), 10**12 + 1)
+    assert time.perf_counter() - t0 < 0.1
+    q = (10**12 + 1 - 51) // 5
+    rest = _dp_max_coeff_representation((5, 6, 7), 51)
+    assert coeffs == [q + rest[0]] + rest[1:]
 
 
 def test_nice_extension_p_too_large():
@@ -409,3 +460,13 @@ def test_self_duplication_preserves_type():
         for d in (x for x in range(1, 30, 2) if s.contains(x)):
             spec = DuplicationSpec(s, cons.ideal_full(s), d)
             assert len(cons.duplication_pf(spec)) == t
+
+
+def test_proper_ideal_duplication_over_a_bit_route_ambient():
+    s = NumericalSemigroup([9, 10, 11, 12])
+    assert s._bits is not None  # the scan settled every residue
+    for ideal, d in (([10], 9), ([10, 11], 21), ([12, 20], 19), ([19], 27)):
+        e = SemigroupIdeal(s, ideal)
+        assert e.kind is IdealKind.PROPER
+        spec = DuplicationSpec(s, e, d)
+        assert cons.duplication_pf(spec) == naive_duplication_stats([9, 10, 11, 12], ideal, d).pf

@@ -115,6 +115,20 @@ def test_many_supplied_generators_outside_the_apery_set_build_fast():
     assert s.minimal_generators == (3, 4, 5)
     assert s.generators == tuple(gens)
     assert elapsed < 0.25
+    # redundant generators inside [2m, max Ap] of a semigroup whose scan settles
+    # in its 62nd window, so Ap(S, m) spans about 2**18 bits: each costs one
+    # table lookup, and the Apery elements among them a few member tests
+    m = 4096
+    base = NumericalSemigroup(range(m, m + 67))
+    assert base._bits is not None and base.frobenius > 60 * m
+    members = [x for x in range(2 * m, base.frobenius) if base.contains(x)]
+    gens = list(range(m, m + 67)) + random.Random(4096).sample(members, 3000)
+    t0 = time.perf_counter()
+    s = NumericalSemigroup(gens)
+    elapsed = time.perf_counter() - t0
+    assert s._bits is not None
+    assert s.minimal_generators == base.minimal_generators
+    assert elapsed < 0.25
 
 
 def test_minimal_generators_scan_only_apery_elements():
@@ -322,3 +336,55 @@ def test_generators_below_twice_the_multiplicity_need_no_member_test(monkeypatch
     assert calls == []
     # 600 = 300 + 300 is the first that needs one
     assert NumericalSemigroup([300, 301, 600]).minimal_generators == (300, 301)
+
+
+def _readout(s):
+    """Every invariant the two routes must agree on, PF first so that it is read before the table."""
+    prof = s.pf_profile()
+    f, m = s.frobenius, s.multiplicity
+    other = m + s.minimal_generators[-1]
+    members = [s.contains(x) for x in range(-1, f + 2 * m + 1)]
+    return f, s.genus, s.minimal_generators, prof, members, s.apery_set(m), s.apery_set(other)
+
+
+def test_bit_route_matches_table_route(monkeypatch):
+    # a window cap of 1 hands every scan over, so the same inputs take the table route
+    rng = random.Random(43)
+    shapes = _random_sets(rng, 80, 1000) + [
+        [5, 7, 16], [6, 12, 9, 7, 13, 20], [5, 7, 14, 8], [3, 4, 5, 2**41 + 1], [1],
+        [7, 8, 13, 18, 26], [10, 11, 18, 29, 34],
+    ]
+    for m in range(11, 130, 6):  # sparse: F / m about m / 2, one window per two residues
+        shapes += [[m, m + 1, m + 2], [m] + rng.sample(range(m + 1, 5 * m), 3)]
+    shapes = [g for g in shapes if math.gcd(*g) == 1]
+    built = [NumericalSemigroup(g) for g in shapes]
+    settled = [s for s in built if s._bits is not None]
+    assert len(settled) > len(built) // 3 and len(settled) < len(built)
+    # settled, with generators of 2m or more: 18 and 34 are minimal, 26 = 13 + 13
+    # and 29 = 11 + 18 are Apery elements that split, and 2**41 + 1 lies past max Ap
+    for gens, mins in (
+        ([7, 8, 13, 18, 26], (7, 8, 13, 18)),
+        ([10, 11, 18, 29, 34], (10, 11, 18, 34)),
+        ([6, 12, 9, 7, 13, 20], (6, 7, 9)),
+        ([3, 4, 5, 2**41 + 1], (3, 4, 5)),
+    ):
+        s = NumericalSemigroup(gens)
+        assert s._bits is not None and s.minimal_generators == mins
+    bit_route = [_readout(s) for s in built]
+    monkeypatch.setattr(core, "_WINDOWS", 1)
+    for gens, expected in zip(shapes, bit_route):
+        s = NumericalSemigroup(gens)
+        assert s._bits is None
+        assert _readout(s) == expected, gens
+
+
+def test_uniform_type_is_read_off_the_bits_without_a_table():
+    from nsg import cli
+
+    r = 2000
+    sg = NumericalSemigroup(range(r + 1, 2 * r + 2))
+    record = cli.analysis_record(sg)
+    assert "_apery" not in vars(sg)
+    assert record["pf"] == list(range(1, r + 1))  # uniform_type_pf_closed
+    assert record["type"] == record["reduced_type"] == r
+    assert record["extremality"] == "maximal"
