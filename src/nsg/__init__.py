@@ -9,7 +9,6 @@ from .core import (
     naturals,
 )
 from .families import (
-    GasParams,
     backelin_pf_closed,
     backelin_semigroup,
     bresinsky_pf_closed,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DuplicationSpec",
     "Extremality",
-    "GasParams",
     "GluingSpec",
     "IdealKind",
     "MinClassification",

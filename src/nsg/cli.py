@@ -90,13 +90,13 @@ def _cmd_family(args) -> int:
     values = [getattr(args, param) for param in family.params]
     record = analysis_record(NumericalSemigroup(family.generators(*values)))
     if args.kind == "gas":
-        params = fam.GasParams(*values)
-        record["b"] = params.b
-        record["pf_closed_form"] = fam.gas_pf_closed(params, args.variant)
+        n0, _, _, p = values
+        record["b"] = n0 % p
+        record["pf_closed_form"] = fam.gas_pf_closed(values, args.variant)
         record["pf_closed_form_variant"] = args.variant
-        record["maximal_closed_form"] = fam.gas_maximal_predicate(params)
+        record["maximal_closed_form"] = fam.gas_maximal_predicate(values)
         record["minimal_closed_form"] = {
-            mode: fam.gas_minimal_predicate(params, mode)
+            mode: fam.gas_minimal_predicate(values, mode)
             for mode in fam.GAS_MINIMAL_MODES
         }
     else:

@@ -3,9 +3,8 @@
 Five families: generalized arithmetic sequences (GAS), the Backelin and
 Bresinsky four-generator curve families, and the two fixed-type witness
 families (consecutive-interval generators, staircase generators).  Each is a
-generators function of its integer parameters plus its closed forms; GAS alone
-keeps a parameter object, ``GasParams``, which checks its four integers, and
-its closed forms read n0, s, d, p off any 4-tuple.  Each closed form is meant
+generators function of its integer parameters plus its closed forms; the GAS
+closed forms read n0, s, d, p off one plain 4-tuple.  Each closed form is meant
 to be cross-checked against the brute-force oracle; none of them is trusted
 blindly.  ``FAMILIES`` at the bottom maps each family's name to its integer
 parameters, its generators, its closed-form PF set and its domain; the CLI
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     GcdNotOneError,
@@ -39,16 +38,11 @@ GAS_PF_VARIANTS = (AS_STATED, CORRECTED)
 GAS_MINIMAL_MODES = (AS_STATED, AS_PROOF)
 
 
-class _GasFields(NamedTuple):
-    n0: int
-    s: int
-    d: int
-    p: int
-
-
 def _gas_refusal(n0: int, s: int, d: int, p: int) -> SemigroupError | None:
-    """The error ``GasParams(n0, s, d, p)`` raises, or None if it accepts the tuple;
-    the tuple is tested without building the object."""
+    """The error a GAS tuple (n0, s, d, p) is refused with, or None if n0, s, d >= 1,
+    p >= 2 and gcd(n0, d) = 1 (otherwise the sequence generates no numerical
+    semigroup).  The text's ``GasParams(n0=..., s=..., d=..., p=...)`` label names
+    the tuple in the CLI's error lines, which keep it byte for byte."""
     if min(n0, s, d) < 1 or p < 2:
         rule = "n0, s, d must be >= 1" if min(n0, s, d) < 1 else "p must be >= 2"
         return InvalidParamError(f"{rule}: GasParams(n0={n0!r}, s={s!r}, d={d!r}, p={p!r})")
@@ -57,68 +51,34 @@ def _gas_refusal(n0: int, s: int, d: int, p: int) -> SemigroupError | None:
     return None
 
 
-class GasParams(_GasFields):
-    """Generalized arithmetic sequence n0, s*n0+d, ..., s*n0+p*d.
+def gas_generators(n0: int, s: int, d: int, p: int) -> tuple[int, ...]:
+    """The generalized arithmetic sequence n0, s*n0+d, ..., s*n0+p*d.
 
-    Requires n0, s, d >= 1, p >= 2, and gcd(n0, d) = 1 (otherwise the
-    sequence does not generate a numerical semigroup).  Whether the sequence
-    is a *minimal* generating set is ``is_minimal_sequence``.  A named tuple
-    of (n0, s, d, p); ``_replace`` runs the same checks.
+    Refuses what ``_gas_refusal`` refuses, then a sequence that is not a
+    minimal generating set, both before the sequence is built, so a huge p
+    costs nothing.  The sequence is minimal iff p < n0 (Matthews 2004).  If
+    p >= n0, the term s*n0 + n0*d equals (s + d)*n0, a multiple of n0.  If
+    p < n0, n0 is the least term, hence minimal.  Any other way of writing a
+    term s*n0 + i*d as c*n0 plus t terms s*n0 + i_j*d gives
+    (i - sum i_j)*d = ((t - 1)*s + c)*n0.  Apart from the term itself
+    (t = 1, c = 0), the right side is positive (for t = 0 the left side is
+    i*d > 0).  As gcd(n0, d) = 1, n0 divides i - sum i_j > 0, so i >= n0 > p,
+    which no term has.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, n0: int, s: int, d: int, p: int) -> GasParams:
-        refusal = _gas_refusal(n0, s, d, p)
-        if refusal is not None:
-            raise refusal
-        return super().__new__(cls, n0, s, d, p)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> GasParams:
-        return cls(*iterable)
-
-    @property
-    def b(self) -> int:
-        return self.n0 % self.p
-
-    @property
-    def sequence(self) -> tuple[int, ...]:
-        n0, s, d, p = self
-        return (n0, *range(s * n0 + d, s * n0 + p * d + 1, d))
-
-    @property
-    def is_minimal_sequence(self) -> bool:
-        """True iff the sequence is a minimal generating set, that is iff p < n0 (Matthews 2004).
-
-        If p >= n0, the term s*n0 + n0*d equals (s + d)*n0, a multiple of n0.
-        If p < n0, n0 is the least term, hence minimal.  Any other way of
-        writing a term s*n0 + i*d as c*n0 plus t terms s*n0 + i_j*d gives
-        (i - sum i_j)*d = ((t - 1)*s + c)*n0.  Apart from the term itself
-        (t = 1, c = 0), the right side is positive (for t = 0 the left side
-        is i*d > 0).  As gcd(n0, d) = 1, n0 divides i - sum i_j > 0, so
-        i >= n0 > p, which no term has.
-        """
-        return self.p < self.n0
-
-
-def gas_generators(params: GasParams) -> tuple[int, ...]:
-    """The sequence; rejects sequences that are not minimal generating sets.
-
-    The refusal is decided by ``params.is_minimal_sequence`` before the
-    sequence is built, so a huge p costs nothing.
-    """
-    if not params.is_minimal_sequence:
+    refusal = _gas_refusal(n0, s, d, p)
+    if refusal is not None:
+        raise refusal
+    if p >= n0:
         raise NotMinimalSequenceError(
-            f"GAS with n0={params.n0}, p={params.p} is not a minimal generating set: "
+            f"GAS with n0={n0}, p={p} is not a minimal generating set: "
             f"p >= n0 makes s*n0 + n0*d a multiple of n0"
         )
-    return params.sequence
+    return (n0, *range(s * n0 + d, s * n0 + p * d + 1, d))
 
 
-def gas_semigroup(params: GasParams) -> NumericalSemigroup:
-    """Semigroup of the sequence; rejects sequences that are not minimal generating sets."""
-    return NumericalSemigroup(gas_generators(params))
+def gas_semigroup(n0: int, s: int, d: int, p: int) -> NumericalSemigroup:
+    """Semigroup of the sequence; refuses what ``gas_generators`` refuses."""
+    return NumericalSemigroup(gas_generators(n0, s, d, p))
 
 
 def gas_pf_closed(params: Sequence[int], variant: str = CORRECTED) -> list[int]:
@@ -130,7 +90,8 @@ def gas_pf_closed(params: Sequence[int], variant: str = CORRECTED) -> list[int]:
     but the top Apery-set tier sits one s*n0 block higher, which shifts the
     set by (s-1)*n0; the two variants therefore differ exactly when s >= 2 and
     b >= 2, and the verify harness adjudicates them against the oracle.
-    ``params`` is any (n0, s, d, p), a ``GasParams`` or a plain tuple."""
+    ``params`` is a tuple (n0, s, d, p) that ``gas_generators`` accepts; it is
+    not re-checked here."""
     if variant not in GAS_PF_VARIANTS:
         raise InvalidParamError(f"unknown variant {variant!r}")
     n0, s, d, p = params
@@ -143,20 +104,23 @@ def gas_pf_closed(params: Sequence[int], variant: str = CORRECTED) -> list[int]:
 
 
 def gas_frobenius_closed(params: Sequence[int], variant: str = CORRECTED) -> int:
-    """max of the closed-form PF set (cheap size estimate for grids); ``params`` is any
-    (n0, s, d, p)."""
+    """max of the closed-form PF set (cheap size estimate for grids); ``params`` is a
+    tuple (n0, s, d, p) that ``gas_generators`` accepts, not re-checked here."""
     return gas_pf_closed(params, variant)[-1]
 
 
 def gas_type_closed(params: Sequence[int]) -> int:
-    """Closed-form type: p-1, p, or b-1 by the case of b."""
+    """Closed-form type: p-1, p, or b-1 by the case of b; ``params`` is a tuple
+    (n0, s, d, p) that ``gas_generators`` accepts, not re-checked here."""
     n0, _, _, p = params
     b = n0 % p
     return p - 1 + b if b < 2 else b - 1
 
 
 def gas_maximal_predicate(params: Sequence[int]) -> bool:
-    """Maximal reduced type criterion, exact integer form of (..) <= (n0-1)/d."""
+    """Maximal reduced type criterion, exact integer form of (..) <= (n0-1)/d;
+    ``params`` is a tuple (n0, s, d, p) that ``gas_generators`` accepts, not
+    re-checked here."""
     n0, _, d, p = params
     b = n0 % p
     return ((p - 2 + b) if b < 2 else (b - 2)) * d <= n0 - 1
@@ -168,7 +132,8 @@ def gas_minimal_predicate(params: Sequence[int], mode: str) -> bool:
     The statement says n0 < d-1, its derivation gives n0 < d+1; both are
     exposed and the verify harness reports which one the oracle confirms.
     When the closed-form type is 1 (b = 2, or b = 0 with p = 2) minimality is
-    automatic and the threshold does not apply.
+    automatic and the threshold does not apply.  ``params`` is a tuple
+    (n0, s, d, p) that ``gas_generators`` accepts, not re-checked here.
     """
     if mode not in GAS_MINIMAL_MODES:
         raise InvalidParamError(f"unknown mode {mode!r}")
@@ -326,9 +291,10 @@ class Family(NamedTuple):
 FAMILIES: dict[str, Family] = {
     "gas": Family(
         ("n0", "s", "d", "p"),
-        lambda n0, s, d, p: gas_generators(GasParams(n0, s, d, p)),
-        lambda n0, s, d, p: gas_pf_closed(GasParams(n0, s, d, p)),
-        # GasParams' p >= 2 rule and p < n0 (is_minimal_sequence) where it accepts (n0, s, d)
+        lambda n0, s, d, p: gas_generators(n0, s, d, p),
+        # gas_generators refuses the tuple first; a sequence it returns is never empty
+        lambda n0, s, d, p: gas_generators(n0, s, d, p) and gas_pf_closed((n0, s, d, p)),
+        # _gas_refusal's p >= 2 rule, and gas_generators' p < n0, where (n0, s, d) is accepted
         last_bounds=lambda n0, s, d: (2, n0) if _gas_refusal(n0, s, d, 2) is None else (0, 0),
     ),
     "bresinsky": Family(

@@ -243,7 +243,7 @@ class _GasRow(NamedTuple):
     """What every GAS check asks of one tuple: its parameters, the oracle's frozen
     answer, the ``/b=…`` tag and the oracle's two extremality flags."""
 
-    params: fam.GasParams
+    params: tuple[int, int, int, int]
     stats: NaiveStats
     b_tag: str
     is_maximal: bool
@@ -256,9 +256,9 @@ def _gas(inst: dict) -> _GasRow:
     memo = _run_memo
     row = None if memo is None else memo.get(key)
     if row is None:
-        params = fam.GasParams(*key[1:])
-        stats = _canonical_stats(fam.gas_generators(params))
-        row = _GasRow(params, stats, f"/b={params.b}", stats.is_maximal, stats.is_minimal)
+        params = n0, _, _, p = key[1:]
+        stats = _canonical_stats(fam.gas_generators(*params))
+        row = _GasRow(params, stats, f"/b={n0 % p}", stats.is_maximal, stats.is_minimal)
         if memo is not None:
             memo[key] = row
     return row

@@ -115,7 +115,7 @@ def _c2_closed_vs_oracle() -> dict:
     for rep in out["thm-3.1"]:
         assert max(rep.closed_form[0]) < 10**6  # F stays under the stated bound
         inst = rep.instance
-        _track(fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"]).sequence)
+        _track(fam.gas_generators(inst["n0"], inst["s"], inst["d"], inst["p"]))
 
     # the stated reading of the b >= 2 case diverges exactly when s >= 2:
     # a surfaced erratum, mirrored by the adjudication machinery
@@ -221,7 +221,7 @@ def _c5_adjudication() -> dict:
     reports = verify_claim("prop-3.3", {"preset": "small"})
     for rep in reports:
         inst = rep.instance
-        _track(fam.GasParams(inst["n0"], inst["s"], inst["d"], inst["p"]).sequence)
+        _track(fam.gas_generators(inst["n0"], inst["s"], inst["d"], inst["p"]))
     return oracle.adjudicate("prop-3.3", reports)
 
 

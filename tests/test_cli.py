@@ -115,13 +115,28 @@ def test_family_gas_with_p_past_n0_exits_at_once():
 def test_family_invalid_params_exit_1():
     # the refusals' lines, byte for byte: the output pins hash stdout only
     for argv, line in (
-        ("family bresinsky --h 1", "h must be >= 2, got 1"),
-        ("family backelin --n 1 --r 10", "n must be >= 2, got 1"),
-        ("family backelin --n 2 --r 7", "r must be >= 3n+2 = 8, got 7"),
-        ("family backelin --n 2 --r 7 --json", "r must be >= 3n+2 = 8, got 7"),
-        ("sweep backelin --n-range 1:2 --r-range 7:8", "n must be >= 2, got 1"),
+        ("family bresinsky --h 1", "InvalidParamError: h must be >= 2, got 1"),
+        ("family backelin --n 1 --r 10", "InvalidParamError: n must be >= 2, got 1"),
+        ("family backelin --n 2 --r 7", "InvalidParamError: r must be >= 3n+2 = 8, got 7"),
+        ("family backelin --n 2 --r 7 --json", "InvalidParamError: r must be >= 3n+2 = 8, got 7"),
+        ("sweep backelin --n-range 1:2 --r-range 7:8", "InvalidParamError: n must be >= 2, got 1"),
+        (
+            "family gas --n0 5 --s 1 --d 3 --p 1",
+            "InvalidParamError: p must be >= 2: GasParams(n0=5, s=1, d=3, p=1)",
+        ),
+        (
+            "family gas --n0 5 --s 0 --d 3 --p 2",
+            "InvalidParamError: n0, s, d must be >= 1: GasParams(n0=5, s=0, d=3, p=2)",
+        ),
+        # gcd(n0, d) != 1 and p >= n0 at once: the gcd refusal wins
+        ("family gas --n0 4 --s 1 --d 2 --p 5", "GcdNotOneError: gcd(n0, d) must be 1: gcd(4, 2)"),
+        (
+            "family gas --n0 3 --s 1 --d 1 --p 3",
+            "NotMinimalSequenceError: GAS with n0=3, p=3 is not a minimal generating set: "
+            "p >= n0 makes s*n0 + n0*d a multiple of n0",
+        ),
     ):
-        assert run_cli(*argv.split()) == (1, "", f"error: InvalidParamError: {line}\n")
+        assert run_cli(*argv.split()) == (1, "", f"error: {line}\n")
 
 
 def test_glue_example():
@@ -613,7 +628,7 @@ def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
 SAMPLES = {
     "gas": (
         [(7, 5, 11, 4), (10, 2, 3, 5), (12, 2, 5, 8)],
-        lambda *v: fam.gas_semigroup(fam.GasParams(*v)),
+        fam.gas_semigroup,
     ),
     "bresinsky": ([(2,), (3,), (4,)], fam.bresinsky_semigroup),
     "backelin": ([(2, 8), (2, 10), (3, 11)], fam.backelin_semigroup),

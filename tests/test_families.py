@@ -12,6 +12,7 @@ from nsg.core import (
     InvalidParamError,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    SemigroupError,
     TableLimitError,
 )
 from nsg.naive import naive_pf
@@ -22,55 +23,61 @@ from nsg.naive import naive_pf
 
 def test_gas_params_validation():
     with pytest.raises(GcdNotOneError, match=re.escape("gcd(n0, d) must be 1: gcd(6, 3)")):
-        fam.GasParams(6, 1, 3, 4)
+        fam.gas_generators(6, 1, 3, 4)
     with pytest.raises(
         InvalidParamError, match=re.escape("p must be >= 2: GasParams(n0=5, s=1, d=3, p=1)")
     ):
-        fam.GasParams(5, 1, 3, 1)
+        fam.gas_generators(5, 1, 3, 1)
     with pytest.raises(
         InvalidParamError, match=re.escape("n0, s, d must be >= 1: GasParams(n0=5, s=0, d=3, p=2)")
     ):
-        fam.GasParams(5, 0, 3, 2)
-    # _replace builds through the same checks
+        fam.gas_generators(5, 0, 3, 2)
     with pytest.raises(InvalidParamError, match=re.escape("GasParams(n0=0, s=1, d=1, p=2)")):
-        fam.GasParams(3, 1, 1, 2)._replace(n0=0)
-    # rebuilt parameters are equal and hash alike, so they can key a memo
-    params = fam.GasParams(3, 1, 1, 2)
-    assert params == fam.GasParams(3, 1, 1, 2)
-    assert hash(params) == hash(fam.GasParams(3, 1, 1, 2))
-    assert {params: 1}[fam.GasParams(3, 1, 1, 2)] == 1
+        fam.gas_semigroup(0, 1, 1, 2)
+    # the gcd refusal comes before the p >= n0 one
+    with pytest.raises(GcdNotOneError, match=re.escape("gcd(4, 2)")):
+        fam.gas_generators(4, 1, 2, 5)
+
+
+def test_gas_family_pf_closed_refuses_what_the_generators_refuse():
+    # the closed forms read an unchecked tuple; the family table's entry checks it first
+    pf_closed = fam.FAMILIES["gas"].pf_closed
+    for values in ((5, 1, 1, 0), (4, 1, 2, 2), (5, 0, 3, 2), (3, 1, 1, 3), (4, 1, 2, 5)):
+        with pytest.raises(SemigroupError) as want:
+            fam.gas_generators(*values)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            pf_closed(*values)
+    assert pf_closed(5, 3, 7, 4) == fam.gas_pf_closed((5, 3, 7, 4)) == [17, 24, 31, 38]
 
 
 def test_gas_domain_is_what_gas_params_accept_below_n0():
-    # the walk's domain, p in last_bounds(n0, s, d), reads the same three refusals GasParams raises
+    # the walk's domain, p in last_bounds(n0, s, d), is exactly what gas_generators accepts
     last_bounds = fam.FAMILIES["gas"].last_bounds
     for n0, s, d, p in itertools.product(range(-1, 7), range(-1, 3), range(-1, 7), range(-1, 8)):
         try:
-            accepted = fam.GasParams(n0, s, d, p).is_minimal_sequence
-        except (InvalidParamError, GcdNotOneError):
+            accepted = bool(fam.gas_generators(n0, s, d, p))
+        except (InvalidParamError, GcdNotOneError, NotMinimalSequenceError):
             accepted = False
         lo, hi = last_bounds(n0, s, d)
         assert (lo <= p < hi) == accepted, (n0, s, d, p)
 
 
 def test_gas_sequence_and_split():
-    p = fam.GasParams(5, 3, 7, 4)
-    assert p.sequence == (5, 22, 29, 36, 43)
-    assert p.b == 1
-    p = fam.GasParams(12, 2, 5, 8)
-    assert p.sequence == (12, 29, 34, 39, 44, 49, 54, 59, 64)
-    assert p.b == 4
+    assert fam.gas_generators(5, 3, 7, 4) == (5, 22, 29, 36, 43)
+    assert fam.gas_type_closed((5, 3, 7, 4)) == 4  # b = 1: type p
+    assert fam.gas_generators(12, 2, 5, 8) == (12, 29, 34, 39, 44, 49, 54, 59, 64)
+    assert fam.gas_type_closed((12, 2, 5, 8)) == 3  # b = 4: type b - 1
 
 
 def test_gas_semigroup_examples():
-    assert fam.gas_semigroup(fam.GasParams(5, 3, 7, 4)).minimal_generators == (5, 22, 29, 36, 43)
-    assert fam.gas_semigroup(fam.GasParams(17, 1, 7, 4)).minimal_generators == (17, 24, 31, 38, 45)
+    assert fam.gas_semigroup(5, 3, 7, 4).minimal_generators == (5, 22, 29, 36, 43)
+    assert fam.gas_semigroup(17, 1, 7, 4).minimal_generators == (17, 24, 31, 38, 45)
 
 
 def test_gas_semigroup_rejects_non_minimal():
     # 2, 2s+d, 2s+2d: the last term is even, hence redundant over <2, ...>
     with pytest.raises(NotMinimalSequenceError):
-        fam.gas_semigroup(fam.GasParams(2, 1, 1, 2))
+        fam.gas_semigroup(2, 1, 1, 2)
 
 
 def test_gas_minimal_sequence_predicate_matches_the_core():
@@ -82,19 +89,22 @@ def test_gas_minimal_sequence_predicate_matches_the_core():
                 if math.gcd(n0, d) != 1:
                     continue
                 for p in range(2, 10):
-                    params = fam.GasParams(n0, s, d, p)
-                    seq = params.sequence
+                    seq = (n0, *range(s * n0 + d, s * n0 + p * d + 1, d))
                     minimal = NumericalSemigroup(seq).minimal_generators == seq
-                    assert params.is_minimal_sequence == minimal, params
+                    assert (p < n0) == minimal, (n0, s, d, p)
+                    if minimal:
+                        assert fam.gas_generators(n0, s, d, p) == seq
+                    else:
+                        with pytest.raises(NotMinimalSequenceError):
+                            fam.gas_generators(n0, s, d, p)
                     checked += 1
     assert checked == 6408
 
 
 def test_gas_semigroup_refuses_p_ge_n0_without_building_the_sequence():
     # a sequence of 10**12 terms would never finish; the refusal is arithmetic
-    params = fam.GasParams(3, 1, 1, 10**12)
     with pytest.raises(NotMinimalSequenceError) as info:
-        fam.gas_semigroup(params)
+        fam.gas_semigroup(3, 1, 1, 10**12)
     assert "n0=3, p=1000000000000" in str(info.value)
     assert len(str(info.value)) < 200
 
@@ -108,49 +118,49 @@ def test_gas_frobenius_estimate_past_p_ge_n0_stays_below_p_2():
             for d in range(1, 30):
                 if math.gcd(n0, d) != 1:
                     continue
-                at_2 = fam.gas_frobenius_closed(fam.GasParams(n0, s, d, 2))
+                at_2 = fam.gas_frobenius_closed((n0, s, d, 2))
                 for p in range(max(n0, 2), n0 + 10):
-                    assert fam.gas_frobenius_closed(fam.GasParams(n0, s, d, p)) <= at_2, (n0, s, d, p)
+                    assert fam.gas_frobenius_closed((n0, s, d, p)) <= at_2, (n0, s, d, p)
 
 
 def test_gas_frobenius_estimate_is_the_last_closed_form_pf():
-    # the estimate and the closed form read any 4-tuple; on every tuple of the full
-    # grid and of bounds (24, 3, 25, 8) a plain tuple gives what GasParams gives,
-    # in both variants, and the sequence is n0 then s*n0 + i*d for i = 1..p
+    # the estimate is the closed form's last element, read off any 4-sequence, on
+    # every tuple of the full grid and of bounds (24, 3, 25, 8) in both variants;
+    # the sequence is n0 then s*n0 + i*d for i = 1..p
     for bounds in ((16, 3, 17, 7), (24, 3, 25, 8)):
         ranges = [range(low, high + 1) for low, high in zip((3, 1, 1, 2), bounds)]
         for values in fam.FAMILIES["gas"].walk(ranges):
-            params = fam.GasParams(*values)
             n0, s, d, p = values
-            assert params.sequence == (n0,) + tuple(s * n0 + i * d for i in range(1, p + 1))
+            seq = fam.gas_generators(*values)
+            assert seq == (n0,) + tuple(s * n0 + i * d for i in range(1, p + 1))
             for variant in fam.GAS_PF_VARIANTS:
-                top = fam.gas_pf_closed(params, variant)[-1]
-                assert fam.gas_pf_closed(values, variant) == fam.gas_pf_closed(params, variant)
+                pf = fam.gas_pf_closed(values, variant)
+                top = pf[-1]
+                assert fam.gas_pf_closed(list(values), variant) == pf
                 assert fam.gas_frobenius_closed(values, variant) == top, (values, variant)
-                assert fam.gas_frobenius_closed(params, variant) == top, (values, variant)
     with pytest.raises(InvalidParamError):
         fam.gas_frobenius_closed((5, 3, 7, 4), "bogus")
 
 
 def test_gas_pf_closed_b1():
-    assert fam.gas_pf_closed(fam.GasParams(5, 3, 7, 4)) == [17, 24, 31, 38]
+    assert fam.gas_pf_closed((5, 3, 7, 4)) == [17, 24, 31, 38]
 
 
 def test_gas_pf_closed_b2_singleton():
     # b = 2 always gives a one-element PF set
-    assert len(fam.gas_pf_closed(fam.GasParams(7, 5, 11, 5))) == 1
+    assert len(fam.gas_pf_closed((7, 5, 11, 5))) == 1
 
 
 def test_gas_pf_closed_variants_differ_only_for_s_ge_2_and_b_ge_2():
-    p = fam.GasParams(12, 2, 5, 8)
+    p = (12, 2, 5, 8)
     assert fam.gas_pf_closed(p, fam.AS_STATED) == [69, 74, 79]
     assert fam.gas_pf_closed(p) == [81, 86, 91]
-    assert naive_pf(p.sequence) == [81, 86, 91]
+    assert naive_pf(fam.gas_generators(*p)) == [81, 86, 91]
     # s = 1: identical
-    q = fam.GasParams(17, 1, 7, 4)
+    q = (17, 1, 7, 4)
     assert fam.gas_pf_closed(q, fam.AS_STATED) == fam.gas_pf_closed(q)
     # b = 1: identical
-    q = fam.GasParams(5, 3, 7, 4)
+    q = (5, 3, 7, 4)
     assert fam.gas_pf_closed(q, fam.AS_STATED) == fam.gas_pf_closed(q)
     with pytest.raises(InvalidParamError):
         fam.gas_pf_closed(p, "bogus")
@@ -158,43 +168,42 @@ def test_gas_pf_closed_variants_differ_only_for_s_ge_2_and_b_ge_2():
 
 def test_gas_pf_closed_matches_oracle():
     for tup in [(7, 1, 2, 4), (8, 2, 3, 4), (9, 2, 5, 4), (13, 3, 4, 5), (7, 5, 11, 4)]:
-        p = fam.GasParams(*tup)
-        assert fam.gas_pf_closed(p) == naive_pf(p.sequence), tup
+        assert fam.gas_pf_closed(tup) == naive_pf(fam.gas_generators(*tup)), tup
 
 
 def test_gas_maximal_predicate_examples():
-    assert not fam.gas_maximal_predicate(fam.GasParams(5, 3, 7, 4))
-    assert fam.gas_maximal_predicate(fam.GasParams(12, 2, 5, 8))
-    assert not fam.gas_maximal_predicate(fam.GasParams(17, 1, 7, 4))
+    assert not fam.gas_maximal_predicate((5, 3, 7, 4))
+    assert fam.gas_maximal_predicate((12, 2, 5, 8))
+    assert not fam.gas_maximal_predicate((17, 1, 7, 4))
 
 
 def test_gas_minimal_predicate_examples():
-    p = fam.GasParams(5, 3, 7, 4)
+    p = (5, 3, 7, 4)
     assert fam.gas_minimal_predicate(p, fam.AS_STATED)
     assert fam.gas_minimal_predicate(p, fam.AS_PROOF)
-    assert fam.gas_minimal_predicate(fam.GasParams(7, 5, 11, 5), fam.AS_PROOF)  # b = 2
-    assert not fam.gas_minimal_predicate(fam.GasParams(12, 2, 5, 8), fam.AS_PROOF)
+    assert fam.gas_minimal_predicate((7, 5, 11, 5), fam.AS_PROOF)  # b = 2
+    assert not fam.gas_minimal_predicate((12, 2, 5, 8), fam.AS_PROOF)
     with pytest.raises(InvalidParamError):
         fam.gas_minimal_predicate(p, "bogus")
 
 
 def test_gas_minimal_modes_disagree_at_n0_eq_d_minus_1():
     # <6,13,20,27>: oracle says minimal reduced type; only the n0 < d+1 reading agrees
-    p = fam.GasParams(6, 1, 7, 3)
+    p = (6, 1, 7, 3)
     assert not fam.gas_minimal_predicate(p, fam.AS_STATED)
     assert fam.gas_minimal_predicate(p, fam.AS_PROOF)
-    sg = fam.gas_semigroup(p)
+    sg = fam.gas_semigroup(*p)
     assert sg.pf_set() == [34, 41]
     assert sg.pf_profile().extremality is Extremality.MINIMAL_ONLY
 
 
 def test_gas_minimal_degenerate_gorenstein_case():
     # b = 0, p = 2 forces type 1, so minimality holds regardless of the threshold
-    p = fam.GasParams(4, 1, 3, 2)
+    p = (4, 1, 3, 2)
     assert fam.gas_type_closed(p) == 1
     assert fam.gas_minimal_predicate(p, fam.AS_STATED)
     assert fam.gas_minimal_predicate(p, fam.AS_PROOF)
-    sg = fam.gas_semigroup(p)
+    sg = fam.gas_semigroup(*p)
     assert sg.pf_set() == [13]
     assert sg.pf_profile().extremality is Extremality.BOTH
 

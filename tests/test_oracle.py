@@ -122,7 +122,7 @@ def test_every_gas_prefix_chain_of_the_full_grid_extends_exactly():
         p_max[n0, s, d] = p
     assert sum(p - 1 for p in p_max.values()) == 2187
     for (n0, s, d), p in p_max.items():
-        gens = fam.gas_generators(fam.GasParams(n0, s, d, p))
+        gens = fam.gas_generators(n0, s, d, p)
         bits = naive._closure_bits(gens[:2])
         for k in range(3, len(gens) + 1):
             bits = naive._extend_closure(bits, gens[:k])
@@ -232,7 +232,7 @@ def _count_closures(monkeypatch) -> tuple[list, list]:
 def _gas_gens_past_p2(bounds) -> list[tuple[int, ...]]:
     """The generators of each GAS tuple with p >= 3 under ``bounds``, in grid order."""
     return [
-        fam.gas_generators(fam.GasParams(*values))
+        fam.gas_generators(*values)
         for values in oracle._gas_tuples(bounds)
         if values[3] >= 3
     ]
@@ -415,25 +415,21 @@ def test_memo_does_not_cache_errors(monkeypatch):
 
 def test_gas_grid_builds_no_semigroup(monkeypatch):
     # minimality of each candidate tuple is decided by p < n0, not by a core
-    # build, and neither the domain test nor the cap builds parameters: the
+    # build, and neither the domain test nor the cap builds a sequence: the
     # Frobenius estimate reads the plain tuple
-    builds, params = [], []
-    init, new = NumericalSemigroup.__init__, fam.GasParams.__new__
+    builds = []
+    init = NumericalSemigroup.__init__
 
     def counting_init(self, gens):
         builds.append(gens)
         init(self, gens)
 
-    def counting_new(cls, *values):
-        params.append(values)
-        return new(cls, *values)
-
     monkeypatch.setattr(NumericalSemigroup, "__init__", counting_init)
-    monkeypatch.setattr(fam.GasParams, "__new__", counting_new)
+    sequences = _counted(monkeypatch, fam, "gas_generators")
     instances = oracle.claim_instances("thm-3.1", {"preset": "full"})
     assert len(instances) == 2 * 2187
     assert builds == []
-    assert params == []
+    assert sequences == []
     assert all(inst["p"] < inst["n0"] for inst in instances)
 
 
@@ -611,7 +607,7 @@ def test_full_grid_matches_golden_jsonl(monkeypatch):
     }
     for key, row in rows:
         assert type(row) is oracle._GasRow and row.params == key[1:]
-        assert row.stats is memo["stats", fam.gas_generators(row.params)]
+        assert row.stats is memo["stats", fam.gas_generators(*row.params)]
     assert len(canon) == 1692
     assert len(dup_pf) == 208
 
@@ -660,7 +656,8 @@ def test_gas_row_is_built_by_the_first_instance_that_asks():
 
 def test_gas_hit_asks_no_engine_canon_or_params(monkeypatch):
     # once the run holds a tuple's row, its instances are answered by one lookup
-    # and their own closed form: no naive function, no _canon, no GasParams
+    # and their own closed form: no naive function, no _canon, no GAS sequence or
+    # parameter check
     plan = _gas_plan("smoke")
     with oracle.verify_run():
         first = [oracle.run_instance(claim, inst) for claim, inst in plan]
@@ -676,7 +673,8 @@ def test_gas_hit_asks_no_engine_canon_or_params(monkeypatch):
                     refused.add(name)
         assert {"naive_stats", "_closure_bits", "_extend_closure", "_stats_from_bits"} <= refused
         monkeypatch.setattr(oracle, "_canon", refuse)
-        monkeypatch.setattr(fam, "GasParams", refuse)
+        monkeypatch.setattr(fam, "gas_generators", refuse)
+        monkeypatch.setattr(fam, "_gas_refusal", refuse)
         again = [oracle.run_instance(claim, inst) for claim, inst in plan]
     assert again == first
 
@@ -687,12 +685,12 @@ def test_gas_row_flags_are_the_oracles():
     with oracle.verify_run():
         for inst in oracle._gas_instances(oracle._PRESETS["smoke"]):
             row = oracle._gas(inst)
-            params = fam.GasParams(**inst)
-            want = naive_stats(fam.gas_generators(params))
+            params = inst["n0"], inst["s"], inst["d"], inst["p"]
+            want = naive_stats(fam.gas_generators(*params))
             assert row.params == params
             assert row.stats == (tuple(want.pf), want.reduced_type, want.frobenius)
             assert (row.is_maximal, row.is_minimal) == (want.is_maximal, want.is_minimal)
-            assert row.b_tag == f"/b={params.n0 % params.p}"
+            assert row.b_tag == f"/b={inst['n0'] % inst['p']}"
             flags.add((row.is_maximal, row.is_minimal))
     assert len(flags) == 4
 
