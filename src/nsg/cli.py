@@ -155,14 +155,9 @@ def _cmd_verify(args) -> int:
     from . import oracle  # the verify harness loads only for verify
 
     grid: dict = {"preset": args.grid}
-    if args.h_max is not None:
-        grid["h_max"] = args.h_max
-    if args.r_max is not None:
-        grid["r_max"] = args.r_max
-    if args.mode is not None:
-        grid["mode"] = args.mode
-    if args.variant is not None:
-        grid["variant"] = args.variant
+    for key in ("h_max", "r_max", "mode", "variant"):
+        if getattr(args, key) is not None:
+            grid[key] = getattr(args, key)
     # everything that can refuse the run goes before --out is opened, which truncates it
     oracle.check_claim(args.claim)
     oracle.check_threads()
@@ -171,19 +166,19 @@ def _cmd_verify(args) -> int:
         plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]
 
         out = open(args.out, "w") if args.out else sys.stdout
+
+        def streamed(claim_id: str, instances: list[dict]):
+            for inst in instances:
+                report = oracle.run_instance(claim_id, inst)
+                print(report.json_line(), file=out)
+                yield report
+
         try:
             all_pass = True
             for claim_id, instances in plan:
-                reports = []
-                for inst in instances:
-                    rep = oracle.run_instance(claim_id, inst)
-                    print(rep.json_line(), file=out)
-                    reports.append(rep)
-                matched = sum(r.match for r in reports)
-                print(
-                    f"{claim_id}: {matched}/{len(reports)} matched", file=sys.stderr
-                )
-                verdict = oracle.adjudicate(claim_id, reports)
+                reports = streamed(claim_id, instances)  # run and written as the tally draws them
+                matched, total, verdict, passes = oracle.tally(claim_id, reports)
+                print(f"{claim_id}: {matched}/{total} matched", file=sys.stderr)
                 if verdict is not None:
                     rates = ", ".join(f"{k} {v}" for k, v in verdict["rates"].items())
                     name = verdict["decided"] or "UNDECIDED"
@@ -191,8 +186,7 @@ def _cmd_verify(args) -> int:
                         f"{claim_id}: adjudication over {verdict['key']}: {rates} -> {name}",
                         file=sys.stderr,
                     )
-                if not oracle.claim_passes(claim_id, reports):
-                    all_pass = False
+                all_pass = all_pass and passes
         finally:
             if args.out:
                 out.close()

@@ -7,7 +7,8 @@ is written: its grid, its check, its judge and, for a statement published in
 two readings, the reading key and values.  A check returns a tag refining
 the claim id (``/b=2``, ``/case-proper`` or ``""``), the closed form and the
 oracle's answer; ``run_instance`` times it, judges it and builds the one
-report per instance.  An iff claim passes when the closed form equals the
+report per instance, and ``tally`` sums a claim up in one pass over its
+reports, keeping none.  An iff claim passes when the closed form equals the
 oracle's answer; a one-way soundness check passes unless the closed form
 contradicts the oracle.  Mismatches are findings to surface, never to patch
 away.  One verify run (``verify_run``) keeps one memo of what it asks more
@@ -780,36 +781,41 @@ def run_instance(claim_id: str, inst: dict) -> VerificationReport:
     return report
 
 
-def adjudicate(claim_id: str, reports: Iterable[VerificationReport]) -> dict | None:
-    """Per-reading match rates, or None unless the claim has two readings and
-    its reports carry two or more of them."""
+def tally(
+    claim_id: str, reports: Iterable[VerificationReport]
+) -> tuple[int, int, dict | None, bool]:
+    """One claim's (matched, total, adjudication, passes), counted as ``reports`` are drawn,
+    keeping none.  Two or more readings of a two-reading claim are adjudicated: the claim
+    passes when exactly one is clean.  Otherwise (adjudication None) it passes when all match."""
     key = _CLAIMS[claim_id].reading if claim_id in _CLAIMS else None
-    if key is None:
-        return None
-    totals: dict[str, list[int]] = {}
+    totals: dict[str | None, list[int]] = {}
     for rep in reports:
-        val = rep.instance[key]
-        tot = totals.setdefault(val, [0, 0])
+        tot = totals.setdefault(rep.instance[key] if key else None, [0, 0])
         tot[0] += rep.match
         tot[1] += 1
+    matched = sum(ok for ok, _ in totals.values())
+    total = sum(n for _, n in totals.values())
     if len(totals) < 2:
-        return None
-    clean = sorted(v for v, (ok, n) in totals.items() if ok == n and n > 0)
-    return {
+        return matched, total, None, matched == total
+    clean = sorted(v for v, (ok, n) in totals.items() if ok == n)
+    verdict = {
         "claim": claim_id,
         "key": key,
         "rates": {v: f"{ok}/{n}" for v, (ok, n) in sorted(totals.items())},
         "clean": clean,
         "decided": clean[0] if len(clean) == 1 else None,
     }
+    return matched, total, verdict, verdict["decided"] is not None
 
 
-def claim_passes(claim_id: str, reports: list[VerificationReport]) -> bool:
-    """Exactly one clean reading when two are adjudicated; otherwise every report matches."""
-    verdict = adjudicate(claim_id, reports)
-    if verdict is not None:
-        return verdict["decided"] is not None
-    return all(rep.match for rep in reports)
+def adjudicate(claim_id: str, reports: Iterable[VerificationReport]) -> dict | None:
+    """``tally``'s adjudication: per-reading match rates, or None."""
+    return tally(claim_id, reports)[2]
+
+
+def claim_passes(claim_id: str, reports: Iterable[VerificationReport]) -> bool:
+    """``tally``'s pass: exactly one clean reading, or every report matching."""
+    return tally(claim_id, reports)[3]
 
 
 def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationReport]:

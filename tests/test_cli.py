@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 from conftest import run_cli
@@ -364,21 +365,67 @@ def test_verify_bad_thread_count_exit_1(monkeypatch):
 
 
 def test_verify_modes_differ_in_exit_code():
-    code_stated, _, _ = run_cli("verify", "prop-3.3", "--mode", "AsStated", "--grid", "smoke")
-    code_proof, _, _ = run_cli("verify", "prop-3.3", "--mode", "AsProof", "--grid", "smoke")
-    assert code_stated == 2
-    assert code_proof == 0
-    code_stated, _, _ = run_cli("verify", "thm-3.1", "--variant", "AsStated", "--grid", "smoke")
-    code_corrected, _, _ = run_cli("verify", "thm-3.1", "--variant", "Corrected", "--grid", "smoke")
-    assert code_stated == 2
-    assert code_corrected == 0
+    # one reading pinned: the summary is the plain count, and any mismatch fails
+    for argv, code, err in (
+        (("prop-3.3", "--mode", "AsStated"), 2, "prop-3.3: 158/176 matched\n"),
+        (("prop-3.3", "--mode", "AsProof"), 0, "prop-3.3: 176/176 matched\n"),
+        (("thm-3.1", "--variant", "AsStated"), 2, "thm-3.1: 152/176 matched\n"),
+        (("thm-3.1", "--variant", "Corrected"), 0, "thm-3.1: 176/176 matched\n"),
+    ):
+        got_code, out, got_err = run_cli("verify", *argv, "--grid", "smoke")
+        assert (got_code, got_err) == (code, err), argv
+        assert out.count("\n") == 176
 
 
 def test_verify_adjudication_names_the_winner():
     code, out, err = run_cli("verify", "prop-3.3", "--grid", "smoke")
     assert code == 0  # exactly one clean reading: a pass, divergences reported
-    assert "-> AsProof" in err
+    assert err == (
+        "prop-3.3: 334/352 matched\n"
+        "prop-3.3: adjudication over mode: AsProof 176/176, AsStated 158/176 -> AsProof\n"
+    )
     assert any(not json.loads(line)["match"] for line in out.strip().split("\n"))
+
+
+def test_verify_two_clean_readings_are_undecided_and_fail(monkeypatch):
+    # a judge that accepts everything leaves both readings clean: nothing is decided
+    row = oracle._CLAIMS["prop-3.3"]
+    monkeypatch.setitem(oracle._CLAIMS, "prop-3.3", row._replace(judge=lambda c, o: True))
+    code, out, err = run_cli("verify", "prop-3.3", "--grid", "smoke")
+    assert code == 2
+    assert err == (
+        "prop-3.3: 352/352 matched\n"
+        "prop-3.3: adjudication over mode: AsProof 176/176, AsStated 176/176 -> UNDECIDED\n"
+    )
+    reports = oracle.verify_claim("prop-3.3", {"preset": "smoke"})
+    assert oracle.adjudicate("prop-3.3", reports)["clean"] == ["AsProof", "AsStated"]
+    assert not oracle.claim_passes("prop-3.3", reports)
+
+
+def test_verify_claim_with_no_instances_passes():
+    assert run_cli("verify", "remark-5.3", "--r-max", "0") == (0, "", "remark-5.3: 0/0 matched\n")
+
+
+def test_verify_keeps_no_report(monkeypatch):
+    # each report is dropped once its line is out and the tally has counted it
+    class Report(oracle.VerificationReport):
+        __slots__ = ("__weakref__",)
+
+    refs, most_alive = [], []
+    run_instance = oracle.run_instance
+
+    def tracked(claim_id, inst):
+        most_alive.append(sum(ref() is not None for ref in refs))
+        report = run_instance(claim_id, inst)
+        refs.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(oracle, "VerificationReport", Report)
+    monkeypatch.setattr(oracle, "run_instance", tracked)
+    code, out, _ = run_cli("verify", "all", "--grid", "smoke")
+    assert code == 0
+    assert len(most_alive) == out.count("\n") > 0
+    assert max(most_alive) <= 1
 
 
 def test_verify_all_smoke():

@@ -829,6 +829,29 @@ def test_adjudication_prop_3_3():
     assert oracle.claim_passes("prop-3.3", proof)
 
 
+def test_tally_counts_one_pass_of_any_iterable():
+    reports = verify_claim("prop-3.3", {"preset": "smoke"})
+    drawn = []
+
+    def once():
+        for rep in reports:
+            drawn.append(rep)
+            yield rep
+
+    matched, total, verdict, passes = oracle.tally("prop-3.3", once())
+    assert drawn == reports
+    assert (matched, total, passes) == (334, 352, True)
+    assert verdict == oracle.adjudicate("prop-3.3", iter(reports))
+    assert verdict["rates"] == {"AsProof": "176/176", "AsStated": "158/176"}
+    assert oracle.claim_passes("prop-3.3", iter(reports))
+    # one reading, or an id with no readings: no adjudication, a pass iff every report matches
+    stated = [rep for rep in reports if rep.instance["mode"] == "AsStated"]
+    assert oracle.tally("prop-3.3", iter(stated)) == (158, 176, None, False)
+    assert oracle.tally("no-such-claim", iter(stated)) == (158, 176, None, False)
+    assert oracle.adjudicate("no-such-claim", reports) is None
+    assert oracle.tally("thm-3.8", iter([])) == (0, 0, None, True)
+
+
 def test_adjudication_thm_3_1():
     reports = verify_claim("thm-3.1", {"preset": "smoke"})
     verdict = oracle.adjudicate("thm-3.1", reports)
