@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage, validation or output-file error, 2 verification
 mismatch.  JSON output is integers-only; CSV and JSON-lines output are
-byte-deterministic for identical invocations.  verify runs in one process;
-NSG_THREADS is validated (an integer >= 1) and otherwise ignored.
+byte-deterministic for identical invocations.  verify runs in one process.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from . import constructions as cons
 from . import families as fam
@@ -63,25 +62,25 @@ def analysis_record(sg: NumericalSemigroup) -> dict:
     }
 
 
-def _emit(record: dict, as_json: bool, out: TextIO) -> None:
+def _emit(record: dict, as_json: bool) -> None:
     if as_json:
         import json  # only --json output encodes
 
-        print(json.dumps(record), file=out)
+        print(json.dumps(record))
         return
     for key, value in record.items():
         if isinstance(value, dict):
             for sub, v in value.items():
-                print(f"{key}[{sub}]: {v}", file=out)
+                print(f"{key}[{sub}]: {v}")
         elif isinstance(value, list):
-            print(f"{key}: {' '.join(str(v) for v in value)}", file=out)
+            print(f"{key}: {' '.join(str(v) for v in value)}")
         else:
-            print(f"{key}: {value}", file=out)
+            print(f"{key}: {value}")
 
 
 def _cmd_analyze(args) -> int:
     record = analysis_record(NumericalSemigroup(args.gens))
-    _emit(record, args.json, sys.stdout)
+    _emit(record, args.json)
     return 0
 
 
@@ -101,7 +100,7 @@ def _cmd_family(args) -> int:
         }
     else:
         record["pf_closed_form"] = family.pf_closed(*values)
-    _emit(record, args.json, sys.stdout)
+    _emit(record, args.json)
     return 0
 
 
@@ -117,7 +116,7 @@ def _cmd_glue(args) -> int:
         record["maximal_sufficient"] = cons.gluing_maximal_sufficient(spec)
     except cons.NotApplicableError:
         record["maximal_sufficient"] = "not-applicable"
-    _emit(record, args.json, sys.stdout)
+    _emit(record, args.json)
     return 0
 
 
@@ -147,7 +146,7 @@ def _cmd_dup(args) -> int:
         record["max_self"] = cons.duplication_max_self(s, args.d)
     elif spec.e_kind is cons.IdealKind.STAR:
         record["max_star"] = cons.duplication_max_star(s, args.d)
-    _emit(record, args.json, sys.stdout)
+    _emit(record, args.json)
     return 0
 
 
@@ -160,7 +159,6 @@ def _cmd_verify(args) -> int:
             grid[key] = getattr(args, key)
     # everything that can refuse the run goes before --out is opened, which truncates it
     oracle.check_claim(args.claim)
-    oracle.check_threads()
     claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
     with oracle.verify_run():
         plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]

@@ -270,7 +270,9 @@ def _scan(gens: Iterable[int], n: int) -> tuple[list[int], list[int], bool]:
     """The window scan of Ap(<gens>, n): the steps, each window's new members,
     and whether the last window holds every residue.
 
-    A step is a generator that is not a multiple of n.  The scan runs only
+    A step is the least generator in a nonzero residue class mod n, so there
+    are at most n - 1: any larger g' in the class is g + kn, a sum of members
+    (n is one), and adds no member as a shift or as an edge.  The scan runs only
     when every step exceeds n, as on the constructor's call with n = m;
     otherwise it returns no windows.  Window j holds the members in
     [jn, (j+1)n) as an n-bit int, bit i for jn + i.  A member x = jn + i > 0
@@ -286,7 +288,8 @@ def _scan(gens: Iterable[int], n: int) -> tuple[list[int], list[int], bool]:
     """
     if n > TABLE_LIMIT:
         raise TableLimitError(f"an Apery set mod {n} exceeds {TABLE_LIMIT} residues")
-    steps = [g for g in gens if g % n]
+    least = {g % n: g for g in sorted(gens, reverse=True)}  # the least of a class comes last
+    steps = sorted(g for t, g in least.items() if t)
     if not steps or min(steps) < n:
         return steps, [], False
     mask = (1 << n) - 1

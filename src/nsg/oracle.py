@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
 from contextlib import contextmanager
 from functools import partial
 from time import perf_counter
@@ -308,30 +307,33 @@ def _shaped_like(value, want: int | tuple) -> bool:
 
 
 def _resolve_grid(grid: dict | None) -> dict:
-    """The preset's grid with the given keys over it; refuses unknown keys and misshapen values."""
+    """The preset's grid with the given keys over it; refuses unknown keys, misshapen
+    values and unknown readings (an empty reading means every reading)."""
     grid = dict(grid or {})
     preset = grid.pop("preset", "small")
-    if preset not in _PRESETS:
+    if not isinstance(preset, str) or preset not in _PRESETS:
         raise UnknownClaimError(f"unknown grid preset {preset!r}")
-    readings = {row.reading for row in _CLAIMS.values() if row.reading}
+    readings = {row.reading: row.readings for row in _CLAIMS.values() if row.reading}
     for key, value in grid.items():
         want = _PRESETS[preset].get(key)
         if want is None and key not in readings:
             raise UnknownClaimError(f"unknown grid key {key!r}")
         if want is not None and not _shaped_like(value, want):
             raise InvalidParamError(f"grid key {key!r}: {value!r} is not shaped like {want!r}")
+        if want is None and value and value not in readings[key]:
+            raise InvalidParamError(f"grid key {key!r}: {value!r} is not one of {readings[key]!r}")
     merged = dict(_PRESETS[preset])
     merged.update(grid)
     return merged
 
 
-def _cap(frobenius_estimate: int, what: str | tuple) -> None:
-    """Refuse an instance whose estimated Frobenius number passes the cap.  ``what``
-    labels it: a string, or (format string, *values), formatted only on refusal, for
-    the GAS grid's thousands of tuples."""
+def _cap(frobenius_estimate: int, what: tuple) -> None:
+    """Refuse an instance whose estimated Frobenius number passes the cap.  ``what``,
+    (format string, *values), labels it; it is formatted only on refusal, as the GAS
+    grid caps thousands of tuples."""
     cap = naive.FROBENIUS_CAP
     if frobenius_estimate > cap:
-        label = what if isinstance(what, str) else what[0].format(*what[1:])
+        label = what[0].format(*what[1:])
         raise GridTooLargeError(
             f"{label}: estimated Frobenius number {frobenius_estimate} exceeds {cap}"
         )
@@ -360,7 +362,7 @@ def _gas_instances(grid: dict) -> list[dict]:
 def _bresinsky_instances(grid: dict) -> list[dict]:
     hs = range(2, grid["h_max"] + 1)
     for h in hs:
-        _cap(fam.bresinsky_frobenius_closed(h), f"bresinsky h={h}")
+        _cap(fam.bresinsky_frobenius_closed(h), ("bresinsky h={}", h))
     return [{"h": h} for h in hs]
 
 
@@ -369,7 +371,7 @@ def _backelin_instances(grid: dict) -> list[dict]:
     out = []
     for n in range(2, n_max + 1):
         for r in range(3 * n + 2, 3 * n + 2 + spread + 1):
-            _cap(fam.backelin_frobenius_closed(n, r), f"backelin (n={n}, r={r})")
+            _cap(fam.backelin_frobenius_closed(n, r), ("backelin (n={}, r={})", n, r))
             out.append({"n": n, "r": r})
     return out
 
@@ -398,7 +400,7 @@ def _gluing_instances(grid: dict) -> list[dict]:
                     if math.gcd(lam, mu) != 1:
                         continue
                     spec = cons.GluingSpec(s1, s2, lam, mu)
-                    _cap(cons.gluing_frobenius_closed(spec), f"gluing lam={lam} mu={mu}")
+                    _cap(cons.gluing_frobenius_closed(spec), ("gluing lam={} mu={}", lam, mu))
                     out.append(
                         {
                             "s1": list(s1.minimal_generators),
@@ -424,7 +426,8 @@ def _nice_ext_instances(grid: dict) -> list[dict]:
                 if math.gcd(p, target) != 1:
                     continue
                 spec = cons.GluingSpec(s, naturals(), p, target)
-                _cap(cons.gluing_frobenius_closed(spec), f"nice extension p={p} target={target}")
+                what = ("nice extension p={} target={}", p, target)
+                _cap(cons.gluing_frobenius_closed(spec), what)
                 out.append({"s": list(gens), "p": p, "coeffs": coeffs})
     return out
 
@@ -465,7 +468,7 @@ def _dup_instances(grid: dict) -> list[dict]:
         for ideal in ideals:
             e_gens = list(s.minimal_generators) if ideal == "star" else ideal
             for d in ds:
-                _cap(2 * (s.frobenius + max(e_gens)) + d, f"duplication d={d}")
+                _cap(2 * (s.frobenius + max(e_gens)) + d, ("duplication d={}", d))
                 out.append({"gens": list(gens), "ideal": e_gens, "d": d})
     return out
 
@@ -740,22 +743,6 @@ def check_claim(claim_id: str) -> None:
         raise UnknownClaimError(
             f"unknown claim {claim_id!r}; registered: {', '.join(_CLAIMS)}"
         )
-
-
-def check_threads() -> None:
-    """Raise InvalidParamError unless NSG_THREADS is unset or an integer >= 1.
-
-    A valid value is ignored: verify runs in one process.
-    """
-    env = os.environ.get("NSG_THREADS")
-    if not env:
-        return
-    try:
-        requested = int(env)
-    except ValueError:
-        raise InvalidParamError(f"NSG_THREADS must be an integer, got {env!r}") from None
-    if requested < 1:
-        raise InvalidParamError(f"NSG_THREADS must be >= 1, got {requested}")
 
 
 def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:

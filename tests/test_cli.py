@@ -284,21 +284,19 @@ def test_verify_unknown_claim_leaves_out_file_alone(tmp_path):
     assert path.read_text() == "kept\n"
 
 
-def test_verify_refused_run_leaves_out_file_alone(tmp_path, monkeypatch):
-    # NSG_THREADS and every requested claim's grid are checked before --out is opened
+def test_verify_refused_run_leaves_out_file_alone(tmp_path):
+    # every requested claim's grid is checked before --out is opened
     path = tmp_path / "reports.jsonl"
     path.write_text("kept\n")
-    for threads, argv, error in (
-        ("abc", ("thm-3.8",), "InvalidParamError"),
-        ("", ("thm-3.8", "--h-max", "100000"), "GridTooLargeError"),
-        ("", ("all", "--grid", "smoke", "--h-max", "100000"), "GridTooLargeError"),
-        ("", ("remark-5.3", "--r-max", "246"), "GridTooLargeError"),
+    for argv in (
+        ("thm-3.8", "--h-max", "100000"),
+        ("all", "--grid", "smoke", "--h-max", "100000"),
+        ("remark-5.3", "--r-max", "246"),
     ):
-        monkeypatch.setenv("NSG_THREADS", threads)
         code, out, err = run_cli("verify", *argv, "--out", str(path))
         assert code == 1
         assert out == ""
-        assert error in err
+        assert "GridTooLargeError" in err
         assert path.read_text() == "kept\n"
 
 
@@ -356,12 +354,14 @@ def test_parser_reuse_matches_a_fresh_parser():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_verify_bad_thread_count_exit_1(monkeypatch):
-    monkeypatch.setenv("NSG_THREADS", "abc")
-    code, out, err = run_cli("verify", "thm-3.8")
-    assert code == 1
-    assert out == ""
-    assert "InvalidParamError" in err and "NSG_THREADS" in err
+def test_verify_ignores_thread_setting(monkeypatch):
+    # verify runs in one process and reads no thread count, valid or not
+    monkeypatch.delenv("NSG_THREADS", raising=False)
+    unset = run_cli("verify", "thm-3.8")
+    assert unset[0] == 0 and unset[1]
+    for threads in ("abc", "0", "-3", "2", ""):
+        monkeypatch.setenv("NSG_THREADS", threads)
+        assert run_cli("verify", "thm-3.8") == unset, threads
 
 
 def test_verify_modes_differ_in_exit_code():
@@ -655,7 +655,6 @@ def _readme_cli_lines() -> list[list[str]]:
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # an example's --out lands here
-    monkeypatch.delenv("NSG_THREADS", raising=False)
     examples = _readme_cli_lines()
     assert len(examples) >= 12
     for argv in examples:

@@ -131,6 +131,26 @@ def test_many_supplied_generators_outside_the_apery_set_build_fast():
     assert elapsed < 0.25
 
 
+def test_scan_keeps_one_step_per_residue_class(monkeypatch):
+    # every member in [2m, 30m] supplied as a generator: the scan shifts only the
+    # least generator of each class mod m, and the build matches the minimal one
+    m = 1024
+    base = NumericalSemigroup(range(m, m + 33))
+    members = [x for x in range(2 * m, 30 * m) if base.contains(x)]
+    gens = list(range(m, m + 33)) + members
+    steps, _, full = core._scan(gens, m)
+    assert len(members) > 10 * m and full
+    assert len(steps) <= m - 1
+    s = NumericalSemigroup(gens)
+    assert s.minimal_generators == base.minimal_generators
+    assert (s.frobenius, s.genus) == (base.frobenius, base.genus)
+    assert s.pf_profile() == base.pf_profile()
+    assert s.apery_set(m) == base.apery_set(m)
+    # the same steps serve Dijkstra when the scan hands over early
+    monkeypatch.setattr(core, "_WINDOWS", 3)
+    assert core._apery(gens, m) == list(base.apery_set(m))
+
+
 def test_minimal_generators_scan_only_apery_elements():
     # 12, 13 and 20 lie above their Apery elements; 14 = 7 + 7 is one but splits
     assert NumericalSemigroup([6, 12, 9, 7, 13, 20]).minimal_generators == (6, 7, 9)

@@ -243,7 +243,6 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     # once per distinct duplication; each answer costs exactly one closure,
     # fresh or extended from the run's last one, and the GAS tuples with
     # p >= 3 are exactly the extended ones
-    monkeypatch.setenv("NSG_THREADS", "1")
     stats_keys, dup_keys = [], []
     stats, dup_stats = oracle._closed_stats, oracle.naive_duplication_stats
     fresh, extended = _count_closures(monkeypatch)
@@ -327,9 +326,8 @@ def test_run_instance_outside_a_run_answers_as_inside_one():
     assert outside == inside == golden
 
 
-def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
+def test_cli_verify_all_matches_golden_jsonl():
     # the CLI asks for one claim at a time; the memo spans those calls
-    monkeypatch.setenv("NSG_THREADS", "1")
     with gzip.open(SMOKE_JSONL, "rt") as fh:
         golden = fh.read()
     code, out, _ = run_cli("verify", "all", "--grid", "smoke")
@@ -337,8 +335,7 @@ def test_cli_verify_all_matches_golden_jsonl(monkeypatch):
     assert out == golden
 
 
-def test_memo_hands_out_fresh_pf_lists(monkeypatch):
-    monkeypatch.setenv("NSG_THREADS", "1")
+def test_memo_hands_out_fresh_pf_lists():
     # a report's oracle PF is its own list: mutating it leaves later runs alone
     claims = ("thm-3.1", "prop-3.5", "thm-3.8", "cor-4.2", "thm-5.2", "remark-5.3", "remark-5.5")
     for claim in claims:
@@ -498,7 +495,7 @@ def test_unknown_grid_key_is_refused():
     assert len(oracle.claim_instances("remark-5.5", grid)) == 2
 
 
-def test_misshapen_grid_value_is_refused():
+def test_misshapen_grid_value_is_refused(monkeypatch):
     # each ended in a bare ValueError or TypeError before the grid was checked
     for claim_id, grid in (
         ("thm-3.1", {"gas": (16, 3)}),
@@ -509,6 +506,23 @@ def test_misshapen_grid_value_is_refused():
         (key,) = grid
         with pytest.raises(InvalidParamError, match=f"'{key}'"):
             oracle.claim_instances(claim_id, grid)
+    # a preset must be a known string, and a reading one of its claim's readings,
+    # refused before any instance runs
+    every = oracle.claim_instances("prop-3.3", {"preset": "smoke"})
+    monkeypatch.setattr(oracle, "run_instance", None)
+    with pytest.raises(UnknownClaimError, match="preset"):
+        verify_claim("thm-3.1", {"preset": ["full"]})
+    for claim_id, grid in (
+        ("thm-3.1", {"variant": ["Corrected"]}),
+        ("thm-3.1", {"variant": "corrected"}),
+        ("prop-3.3", {"mode": "bogus"}),
+    ):
+        (key,) = grid
+        with pytest.raises(InvalidParamError, match=f"'{key}'"):
+            verify_claim(claim_id, {"preset": "smoke", **grid})
+    # an empty or absent reading still means every reading
+    for empty in ("", None, []):
+        assert oracle.claim_instances("prop-3.3", {"preset": "smoke", "mode": empty}) == every
     # a list stands for a tuple, and a bool is an int
     assert oracle.claim_instances("thm-3.1", {"preset": "smoke", "gas": [8, 2, 9, 4]})
     assert oracle.claim_instances("thm-3.8", {"h_max": True}) == []
@@ -708,8 +722,7 @@ def test_gas_row_hands_each_report_its_own_pf():
         assert [oracle.run_instance("thm-3.1", inst) for inst in corrected] == want
 
 
-def test_smoke_grid_matches_golden_jsonl(monkeypatch):
-    monkeypatch.setenv("NSG_THREADS", "1")
+def test_smoke_grid_matches_golden_jsonl():
     with gzip.open(SMOKE_JSONL, "rt") as fh:
         golden = fh.read().splitlines()
     assert [r.json_line() for r in verify_claim("all", {"preset": "smoke"})] == golden
@@ -795,25 +808,11 @@ def test_verify_starts_no_process(monkeypatch):
     def refuse(self):
         raise AssertionError("verify started a process")
 
-    monkeypatch.delenv("NSG_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     with gzip.open(SMOKE_JSONL, "rt") as fh:
         golden = fh.read().splitlines()
     assert [r.json_line() for r in verify_claim("all", {"preset": "smoke"})] == golden
-
-
-def test_worker_count(monkeypatch):
-    # NSG_THREADS is validated, then ignored
-    monkeypatch.delenv("NSG_THREADS", raising=False)
-    oracle.check_threads()
-    for good in ("", "1", "2", "64"):
-        monkeypatch.setenv("NSG_THREADS", good)
-        oracle.check_threads()
-    for bad in ("abc", "1.5", "0", "-3"):
-        monkeypatch.setenv("NSG_THREADS", bad)
-        with pytest.raises(InvalidParamError, match="NSG_THREADS"):
-            oracle.check_threads()
 
 
 def test_adjudication_prop_3_3():
