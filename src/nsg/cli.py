@@ -158,10 +158,9 @@ def _cmd_verify(args) -> int:
         if getattr(args, key) is not None:
             grid[key] = getattr(args, key)
     # everything that can refuse the run goes before --out is opened, which truncates it
-    oracle.check_claim(args.claim)
-    claims = oracle.registered_claims() if args.claim == "all" else [args.claim]
     with oracle.verify_run():
-        plan = [(claim_id, oracle.claim_instances(claim_id, grid)) for claim_id in claims]
+        claims = oracle.claim_grids(args.claim, grid)
+        plan = [(claim_id, oracle.claim_instances(claim_id, own)) for claim_id, own in claims]
 
         out = open(args.out, "w") if args.out else sys.stdout
 
@@ -279,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=("smoke", "small", "full"), default="small")
     p.add_argument("--h-max", type=int, default=None)
     p.add_argument("--r-max", type=int, default=None)
-    p.add_argument("--mode", choices=fam.GAS_MINIMAL_MODES, default=None)
-    p.add_argument("--variant", choices=fam.GAS_PF_VARIANTS, default=None)
+    p.add_argument("--mode", choices=fam.GAS_MINIMAL_MODES, help="prop-3.3's reading")
+    p.add_argument("--variant", choices=fam.GAS_PF_VARIANTS, help="thm-3.1's reading")
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 

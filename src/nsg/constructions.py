@@ -19,6 +19,8 @@ from .core import (
     InvalidParamError,
     NotMinimalSequenceError,
     NumericalSemigroup,
+    TABLE_LIMIT,
+    TableLimitError,
     _maximal_classes,
     naturals,
 )
@@ -174,12 +176,18 @@ def max_coeff_representation(gens: Sequence[int], target: int) -> list[int] | No
     gains q.  When n1 comes first in gens, as in ``minimal_generators``, a DP
     run to the whole target keeps n1 at every cell past B, so the
     coefficients are exactly that DP's; in any order the sum is the largest.
+    A DP of more than ``TABLE_LIMIT`` cells (t' >= TABLE_LIMIT) is refused
+    before it is allocated.
     """
     n1 = min(gens)
     q = max(0, -((target - (n1 - 1) * (sum(gens) - n1)) // -n1))
     target -= q * n1
     if target < 0:
         return None
+    if target >= TABLE_LIMIT:
+        raise TableLimitError(
+            f"a representation table of {target + 1} cells exceeds {TABLE_LIMIT}"
+        )
     best = [-1] * (target + 1)
     best[0] = 0
     back = [0] * (target + 1)

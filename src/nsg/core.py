@@ -70,7 +70,8 @@ class NotMinimalSequenceError(SemigroupError):
 
 
 class TableLimitError(SemigroupError):
-    """An Apery set would exceed TABLE_LIMIT residues (an oversized modulus)."""
+    """A table would exceed TABLE_LIMIT entries: an Apery set's residues (an oversized
+    modulus) or the cells of a max-coefficient representation DP."""
 
 
 class Extremality(Enum):

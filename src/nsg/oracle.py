@@ -4,7 +4,9 @@ The engine, the Apery-free side, lives in its own module, ``nsg.naive``;
 this module keeps the run memo, the grids, the checks and the runner.  The
 claim registry at the bottom holds one row per claim, the only place its id
 is written: its grid, its check, its judge and, for a statement published in
-two readings, the reading key and values.  A check returns a tag refining
+two readings, the reading key and values, which only its own grid may carry.
+``claim_grids`` says what one run checks: one claim, or for 'all' each claim
+with the grid less the others' reading keys.  A check returns a tag refining
 the claim id (``/b=2``, ``/case-proper`` or ``""``), the closed form and the
 oracle's answer; ``run_instance`` times it, judges it and builds the one
 report per instance, and ``tally`` sums a claim up in one pass over its
@@ -35,6 +37,7 @@ import math
 import operator
 from contextlib import contextmanager
 from functools import partial
+from itertools import count, islice
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -306,22 +309,21 @@ def _shaped_like(value, want: int | tuple) -> bool:
     return shaped and all(map(_shaped_like, value, want))
 
 
-def _resolve_grid(grid: dict | None) -> dict:
-    """The preset's grid with the given keys over it; refuses unknown keys, misshapen
-    values and unknown readings (an empty reading means every reading)."""
+def _resolve_grid(row: _Claim, grid: dict | None) -> dict:
+    """The preset's grid with the given keys over it; refuses unknown keys (another claim's
+    reading key too), misshapen values and readings ``row`` lacks (empty means every one)."""
     grid = dict(grid or {})
     preset = grid.pop("preset", "small")
     if not isinstance(preset, str) or preset not in _PRESETS:
         raise UnknownClaimError(f"unknown grid preset {preset!r}")
-    readings = {row.reading: row.readings for row in _CLAIMS.values() if row.reading}
     for key, value in grid.items():
         want = _PRESETS[preset].get(key)
-        if want is None and key not in readings:
+        if want is None and key != row.reading:
             raise UnknownClaimError(f"unknown grid key {key!r}")
         if want is not None and not _shaped_like(value, want):
             raise InvalidParamError(f"grid key {key!r}: {value!r} is not shaped like {want!r}")
-        if want is None and value and value not in readings[key]:
-            raise InvalidParamError(f"grid key {key!r}: {value!r} is not one of {readings[key]!r}")
+        if want is None and value and value not in row.readings:
+            raise InvalidParamError(f"grid key {key!r}: {value!r} is not one of {row.readings!r}")
     merged = dict(_PRESETS[preset])
     merged.update(grid)
     return merged
@@ -379,14 +381,14 @@ def _backelin_instances(grid: dict) -> list[dict]:
 _GLUE_POOL: list[list[int]] = [[1], [2, 3], [3, 4, 5], [3, 5, 7], [5, 6, 7], [4, 5, 6, 7]]
 
 
-def _nongen_members(s: NumericalSemigroup, k: int) -> list[int]:
-    out = []
-    x = s.multiplicity
-    while len(out) < k:
-        if s.contains(x) and x not in s.minimal_generators:
-            out.append(x)
-        x += 1
-    return out
+def _members(s: NumericalSemigroup, k: int, start: int, step: int = 1, skip=()) -> list[int]:
+    """The first ``k`` members of S among start, start + step, ..., leaving out ``skip``."""
+    return list(islice((x for x in count(start, step) if s.contains(x) and x not in skip), k))
+
+
+def _nongen(s: NumericalSemigroup, k: int) -> list[int]:
+    """The first ``k`` members of S that are not minimal generators."""
+    return _members(s, k, s.multiplicity, skip=s.minimal_generators)
 
 
 def _gluing_instances(grid: dict) -> list[dict]:
@@ -395,8 +397,8 @@ def _gluing_instances(grid: dict) -> list[dict]:
     out = []
     for s1 in pool:
         for s2 in pool:
-            for mu in _nongen_members(s1, per):
-                for lam in _nongen_members(s2, per):
+            for mu in _nongen(s1, per):
+                for lam in _nongen(s2, per):
                     if math.gcd(lam, mu) != 1:
                         continue
                     spec = cons.GluingSpec(s1, s2, lam, mu)
@@ -420,7 +422,7 @@ def _nice_ext_instances(grid: dict) -> list[dict]:
     for gens in _NICE_POOL[: max(3, grid["glue_pool"] - 2)]:
         s = _semigroup(gens)
         # larger targets admit more representations, hence more valid p
-        for target in _nongen_members(s, 3 * grid["glue_per"]):
+        for target in _nongen(s, 3 * grid["glue_per"]):
             coeffs = cons.max_coeff_representation(s.minimal_generators, target)
             for p in range(2, min(sum(coeffs), 2 + 2 * grid["glue_per"]) + 1):
                 if math.gcd(p, target) != 1:
@@ -443,20 +445,9 @@ _DUP_POOL: list[tuple[list[int], list] ] = [
 ]
 
 
-def _odd_members(s: NumericalSemigroup, k: int, lo: int = 1) -> list[int]:
-    out = []
-    x = lo if lo % 2 == 1 else lo + 1
-    while len(out) < k:
-        if s.contains(x):
-            out.append(x)
-        x += 2
-    return out
-
-
 def _dup_ds(s: NumericalSemigroup, k: int) -> list[int]:
     # a few small odd elements plus one beyond 2F(S), so every clause can fire
-    ds = _odd_members(s, k)
-    ds += _odd_members(s, 1, lo=2 * max(s.frobenius, 0) + 1)
+    ds = _members(s, k, 1, 2) + _members(s, 1, 2 * max(s.frobenius, 0) + 1, 2)
     return sorted(set(ds))
 
 
@@ -474,12 +465,8 @@ def _dup_instances(grid: dict) -> list[dict]:
 
 
 def _dup_self_instances(grid: dict) -> list[dict]:
-    out = []
-    for gens, _ in _DUP_POOL:
-        s = _semigroup(gens)
-        for d in _dup_ds(s, grid["dup_d"]):
-            out.append({"gens": list(gens), "d": d})
-    return out
+    """The E = S rows of the duplication grid, without the ideal."""
+    return [{"gens": i["gens"], "d": i["d"]} for i in _dup_instances(grid) if i["ideal"] == [0]]
 
 
 def _cap_work(what: str, work_of: Callable[[int], int], rs: range) -> None:
@@ -692,8 +679,8 @@ class _Claim(NamedTuple):
     """One registered claim: its grid enumerator, its check and its judge,
     which decides a match from the closed form and the oracle's answer.  A
     statement published in two readings also names the instance key that
-    carries the reading (the grid key that pins one, too) and the readings;
-    verify runs each in turn and adjudicates."""
+    carries the reading (the grid key that pins one, which no other claim
+    reads) and the readings; verify runs each in turn and adjudicates."""
 
     instances: Callable[[dict], list[dict]]
     check: Callable[[dict], Check]
@@ -737,19 +724,35 @@ def registered_claims() -> list[str]:
     return list(_CLAIMS)
 
 
-def check_claim(claim_id: str) -> None:
-    """Raise UnknownClaimError unless ``claim_id`` is 'all' or a registered claim."""
-    if claim_id != "all" and claim_id not in _CLAIMS:
-        raise UnknownClaimError(
-            f"unknown claim {claim_id!r}; registered: {', '.join(_CLAIMS)}"
-        )
+def _claim(claim_id: str) -> _Claim:
+    """The registered claim ``claim_id``; refuses any other id."""
+    row = _CLAIMS.get(claim_id)
+    if row is None:
+        raise UnknownClaimError(f"unknown claim {claim_id!r}; registered: {', '.join(_CLAIMS)}")
+    return row
+
+
+def claim_grids(claim_id: str, grid: dict | None = None) -> list[tuple[str, dict]]:
+    """The claims one run checks, each with the grid it reads: a registered claim with
+    ``grid``, or for 'all' every registered claim with ``grid`` less the reading keys of the
+    others.  Every grid is resolved here, so a bad key or value of any claim is refused
+    before any claim is planned."""
+    every = claim_id == "all"
+    others = {row.reading for row in _CLAIMS.values()} if every else ()
+    plan = []
+    for cid in _CLAIMS if every else [claim_id]:
+        row = _claim(cid)
+        own = {k: v for k, v in (grid or {}).items() if k == row.reading or k not in others}
+        _resolve_grid(row, own)
+        plan.append((cid, own))
+    return plan
 
 
 def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
-    """One registered claim's instances in their fixed order, reading by reading
-    for a claim with two; a grid past a cap raises here."""
-    row = _CLAIMS[claim_id]
-    grid = _resolve_grid(grid)
+    """One registered claim's instances in their fixed order, reading by reading for a
+    claim with two; an unknown claim, a key the claim does not read or a cap raises here."""
+    row = _claim(claim_id)
+    grid = _resolve_grid(row, grid)
     instances = row.instances(grid)
     key = row.reading
     if key is None:
@@ -810,14 +813,10 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
 
     Instances are enumerated in a fixed order and checked one after another
     in the calling process, so reports come back in that order.  The call is
-    one verify run (or part of the open one): 'all' shares one memo across
-    its claims, and no memo is held once the call returns.
+    one verify run (or part of the open one): 'all' runs each claim of ``claim_grids``
+    by a call of its own, sharing one memo, and no memo is held once the call returns.
     """
-    check_claim(claim_id)
     with verify_run():
-        if claim_id == "all":
-            out = []
-            for cid in _CLAIMS:
-                out.extend(verify_claim(cid, grid))
-            return out
-        return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]
+        if claim_id != "all":
+            return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]
+        return [rep for cid, own in claim_grids(claim_id, grid) for rep in verify_claim(cid, own)]

@@ -481,6 +481,38 @@ def test_verify_all_full_matches_golden_stream(tmp_path):
     assert hashlib.sha256(written).hexdigest().startswith("a062f7285f59")
 
 
+def test_verify_reading_flag_is_read_by_its_claim_alone(tmp_path):
+    # --mode is prop-3.3's reading and --variant thm-3.1's; any other claim refuses them
+    path = tmp_path / "reports.jsonl"
+    path.write_text("kept\n")
+    for claim, flag, value in (
+        ("thm-3.8", "--mode", "AsProof"),
+        ("prop-3.3", "--variant", "Corrected"),
+    ):
+        refused = (1, "", f"error: UnknownClaimError: unknown grid key '{flag[2:]}'\n")
+        argv = ("verify", claim, flag, value, "--grid", "smoke")
+        assert run_cli(*argv) == refused
+        assert run_cli(*argv, "--out", str(path)) == refused
+        assert path.read_text() == "kept\n"
+    # `all` hands --mode to prop-3.3 alone, which runs only that reading
+    with gzip.open(FULL_JSONL.with_name("verify-smoke.jsonl.gz"), "rt") as fh:
+        smoke = fh.read().splitlines(keepends=True)
+    code, _, smoke_err = run_cli("verify", "all", "--grid", "smoke")
+    assert code == 0
+    both = (
+        "prop-3.3: 334/352 matched\n"
+        "prop-3.3: adjudication over mode: AsProof 176/176, AsStated 158/176 -> AsProof\n"
+    )
+    assert both in smoke_err
+    one = "prop-3.3: 176/176 matched\n"
+    code, out, err = run_cli("verify", "all", "--mode", "AsProof", "--grid", "smoke")
+    assert (code, err) == (0, smoke_err.replace(both, one))
+    assert out == "".join(line for line in smoke if '"prop-3.3/mode=AsStated"' not in line)
+    code, out, err = run_cli("verify", "prop-3.3", "--mode", "AsProof", "--grid", "smoke")
+    assert (code, err) == (0, one)
+    assert out == "".join(line for line in smoke if '"prop-3.3/mode=AsProof"' in line)
+
+
 def test_verify_determinism():
     _, out1, _ = run_cli("verify", "cor-4.2", "--grid", "smoke")
     _, out2, _ = run_cli("verify", "cor-4.2", "--grid", "smoke")

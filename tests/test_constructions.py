@@ -1,13 +1,21 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsg.constructions as cons
-from nsg.core import EmptyGeneratorsError, Extremality, GcdNotOneError, NumericalSemigroup, naturals
+from nsg.core import (
+    EmptyGeneratorsError,
+    Extremality,
+    GcdNotOneError,
+    NumericalSemigroup,
+    TableLimitError,
+    naturals,
+)
 from nsg.constructions import (
     DNotInSError,
     DNotOddError,
@@ -161,6 +169,27 @@ def test_max_coeff_representation_of_a_huge_target_needs_no_table():
     assert coeffs == [q + rest[0]] + rest[1:]
 
 
+def test_max_coeff_representation_past_the_table_limit_is_refused(monkeypatch):
+    # B = 2999 * 3001, about 9.0e6 cells, past TABLE_LIMIT = 2**22; and
+    # B = (10**6 - 1) * (10**6 + 1), about 10**12 cells: refused before any table
+    for gens, target in (([3000, 3001], 10**7), ([10**6, 10**6 + 1], 10**12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableLimitError):
+                cons.max_coeff_representation(gens, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # the limit counts cells: B = 52 for <5, 6, 7>, so a DP to 51 fills 52 cells
+    monkeypatch.setattr(cons, "TABLE_LIMIT", 52)
+    expected = _dp_max_coeff_representation((5, 6, 7), 51)
+    assert cons.max_coeff_representation((5, 6, 7), 51) == expected
+    assert cons.max_coeff_sum((5, 6, 7), 10**12 + 1) > 0  # reduced to 51
+    with pytest.raises(TableLimitError, match="53 cells exceeds 52"):
+        cons.max_coeff_representation((5, 6, 7), 52)
+
+
 def test_nice_extension_p_too_large():
     # <35,42,49,26> is not a nice extension of <5,6,7>: no representation of 26
     # reaches coefficient sum 7
@@ -195,6 +224,8 @@ def test_nice_extension_errors():
         cons.nice_extension(S345, 2, [1, 1])  # wrong arity
     with pytest.raises(cons.InvalidParamError, match="p must be positive"):
         cons.nice_extension(S345, 0, [1, 1, 0])
+    with pytest.raises(cons.InvalidParamError, match="target element must be positive"):
+        cons.nice_extension(S345, 2, [0] * len(S345.minimal_generators))
 
 
 # --- ideals

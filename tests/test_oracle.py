@@ -483,16 +483,70 @@ def test_unknown_claim():
         oracle.claim_instances("thm-3.8", {"preset": "bogus"})
 
 
+def test_claim_instances_refuses_an_unknown_claim_by_name():
+    # the text `nsg verify` prints, not a bare KeyError
+    text = f"unknown claim 'thm-9.9'; registered: {', '.join(oracle.registered_claims())}"
+    for call in (oracle.claim_instances, oracle.claim_grids, verify_claim):
+        with pytest.raises(UnknownClaimError) as info:
+            call("thm-9.9")
+        assert str(info.value) == text
+
+
+def test_all_refuses_a_bad_grid_before_any_instance_runs(monkeypatch):
+    monkeypatch.setattr(oracle, "run_instance", None)
+    for grid, error in (
+        ({"mode": "bogus"}, InvalidParamError),
+        ({"variant": ["Corrected"]}, InvalidParamError),
+        ({"r_max": "3"}, InvalidParamError),
+        ({"h_mx": 3}, UnknownClaimError),
+    ):
+        (key,) = grid
+        with pytest.raises(error, match=f"'{key}'"):
+            verify_claim("all", {"preset": "smoke", **grid})
+    with pytest.raises(UnknownClaimError, match="^unknown grid key 'mode'$"):
+        verify_claim("thm-3.8", {"preset": "smoke", "mode": "AsProof"})
+
+
+def test_all_runs_each_claim_by_its_own_call_with_its_own_reading(monkeypatch):
+    calls = []
+    verify_one = oracle.verify_claim
+
+    def recording(claim_id, grid=None):
+        calls.append((claim_id, grid))
+        return verify_one(claim_id, grid)
+
+    monkeypatch.setattr(oracle, "verify_claim", recording)
+    smoke = {"preset": "smoke"}
+    reports = oracle.verify_claim("all", {**smoke, "mode": "AsProof", "variant": "Corrected"})
+    assert [claim_id for claim_id, _ in calls] == ["all", *oracle.registered_claims()]
+    own = {"prop-3.3": {"mode": "AsProof"}, "thm-3.1": {"variant": "Corrected"}}
+    for claim_id, grid in calls[1:]:
+        assert grid == {**smoke, **own.get(claim_id, {})}
+    assert {rep.instance.get("mode") for rep in reports} == {None, "AsProof"}
+    assert {rep.instance.get("variant") for rep in reports} == {None, "Corrected"}
+
+
 def test_unknown_grid_key_is_refused():
     # a misspelt key must not leave the preset's value in force unnoticed
     with pytest.raises(UnknownClaimError, match="'h_mx'"):
         verify_claim("thm-3.8", {"h_mx": 100})
     with pytest.raises(UnknownClaimError, match="'gas_max'"):
         oracle.claim_instances("thm-3.1", {"preset": "smoke", "gas_max": (8, 2, 9, 4)})
-    # the preset's keys and the claims' reading keys are read
-    grid = {"preset": "smoke", "h_max": 3, "r_max": 2, "mode": "AsProof", "variant": "Corrected"}
+    # a claim reads the preset's keys and its own reading key, and refuses another's
+    grid = {"preset": "smoke", "h_max": 3, "r_max": 2}
     assert len(oracle.claim_instances("thm-3.8", grid)) == 2
     assert len(oracle.claim_instances("remark-5.5", grid)) == 2
+    for claim_id, key, value in (
+        ("thm-3.8", "mode", "AsProof"),
+        ("remark-5.5", "variant", "Corrected"),
+        ("prop-3.3", "variant", "Corrected"),
+        ("thm-3.1", "mode", "AsProof"),
+    ):
+        with pytest.raises(UnknownClaimError, match=f"^unknown grid key '{key}'$"):
+            oracle.claim_instances(claim_id, {**grid, key: value})
+    for claim_id, key, value in (("prop-3.3", "mode", "AsProof"), ("thm-3.1", "variant", "Corrected")):
+        pinned = oracle.claim_instances(claim_id, {**grid, key: value})
+        assert len(pinned) == 176 and {inst[key] for inst in pinned} == {value}
 
 
 def test_misshapen_grid_value_is_refused(monkeypatch):
