@@ -17,7 +17,6 @@ from .core import (
     EmptyGeneratorsError,
     GcdNotOneError,
     InvalidParamError,
-    NotMinimalSequenceError,
     NumericalSemigroup,
     TABLE_LIMIT,
     TableLimitError,
@@ -115,14 +114,24 @@ class GluingSpec:
 
 
 def glue(spec: GluingSpec) -> NumericalSemigroup:
-    """<lambda*gens(S1), mu*gens(S2)>; the scaled set must come out minimal."""
-    gens = spec.generators
-    sg = NumericalSemigroup(gens)
-    if len(set(gens)) != len(gens) or sg.minimal_generators != tuple(sorted(gens)):
-        raise NotMinimalSequenceError(
-            f"glued generators {sorted(gens)} are not minimal (got {sg.minimal_generators})"
-        )
-    return sg
+    """<lambda*gens(S1), mu*gens(S2)>, minimally generated by exactly that set.
+
+    ``GluingSpec``'s conditions are those of the gluing lemma (Rosales &
+    García-Sánchez, *Numerical Semigroups*, 2009), under which the scaled set
+    is the minimal generating set, with no repeats.  Let a be a minimal
+    generator of S1.  If lambda*a = mu*b for b in S2, gcd(lambda, mu) = 1
+    makes a = k*mu with k >= 1: a = mu if k = 1, else a sum of k nonzero
+    elements of S1; either way a would not be minimal, as mu is in S1 and
+    not a minimal generator.  If lambda*a is a sum of the other scaled
+    generators, lambda*a = lambda*x + mu*y with x a sum of S1's other minimal
+    generators and y in S2; then lambda divides y = lambda*t and a = x + t*mu.
+    A minimal generator is no sum of two nonzero elements, so x = 0 or
+    t = 0: x = 0 leaves a = t*mu, ruled out as before, and t = 0 leaves a a
+    sum of S1's other minimal generators.  For mu*b, b a minimal generator
+    of S2, swap the roles, with lambda in S2.  A generating set none of whose
+    elements is a sum of the others is the minimal one.
+    """
+    return NumericalSemigroup(spec.generators)
 
 
 def gluing_pf(spec: GluingSpec) -> list[int]:

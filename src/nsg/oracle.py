@@ -24,7 +24,10 @@ It also keeps one closure, the last the run made: a semigroup whose
 generators are those plus one larger generator, as GAS(n0, s, d, p)
 follows GAS(n0, s, d, p - 1) in the grid, is closed by extending it.  The
 memo is dropped when the run ends.  Its oracle answers are immutable, with
-PF as a tuple, so a lookup hands out the stored answer with no copy.
+PF as a tuple, so a lookup hands out the stored answer with no copy.  The
+outermost run pauses the cyclic garbage collector, which is safe because a
+run makes no reference cycles (a test pins it), and puts it back as it found
+it on exit, on error too.
 Outside a run the checks compute afresh, and direct ``naive_*`` calls are
 never cached and return PF lists.
 Each report is one JSON line, written by one encoder built per process.
@@ -32,6 +35,7 @@ Each report is one JSON line, written by one encoder built per process.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -153,23 +157,38 @@ class VerificationReport:
 # core objects share this dict but no code path.  The memo is module-level
 # because verify runs in one thread; a concurrent caller can lose hits, never
 # get a wrong answer: the last closure is read and written as one (key, bits)
-# pair.
+# pair.  The outermost run pauses the cyclic collector: a run makes no
+# reference cycles (``test_full_grid_matches_golden_jsonl`` pins it), so a
+# collection would only rescan what the caller keeps, and one gen-1 pass
+# (about 0.4 ms) costs a hundred median instances.  The collector's prior
+# state comes back on exit, on error too.
 
 _run_memo: dict | None = None
 
 
 @contextmanager
 def verify_run() -> Iterator[dict]:
-    """Open the memo of one verify run; inside an open run, reuse that one."""
+    """Open the memo of one verify run; inside an open run, reuse that one.
+
+    The outermost run also pauses the cyclic garbage collector: a run makes no
+    reference cycles (``test_full_grid_matches_golden_jsonl`` pins it), so
+    reference counting frees all it drops, and a collection would only rescan
+    what the caller keeps.  On exit, on error too, the memo is dropped and the
+    collector is turned back on only if it was on when the run opened.
+    """
     global _run_memo
     if _run_memo is not None:
         yield _run_memo
         return
+    collecting = gc.isenabled()
+    gc.disable()
     _run_memo = {}
     try:
         yield _run_memo
     finally:
         _run_memo = None
+        if collecting:
+            gc.enable()
 
 
 def _recall(key: tuple, build: Callable[[], T]) -> T:

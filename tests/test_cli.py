@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import gzip
 import hashlib
 import io
@@ -298,6 +299,31 @@ def test_verify_refused_run_leaves_out_file_alone(tmp_path):
         assert out == ""
         assert "GridTooLargeError" in err
         assert path.read_text() == "kept\n"
+
+
+def test_verify_pauses_the_collector_and_restores_its_state(monkeypatch):
+    # the CLI's run is one verify run: no instance runs with the collector on,
+    # and it is left as it was found, after a refused run too
+    seen, run_instance = [], oracle.run_instance
+
+    def watching(claim_id, inst):
+        seen.append(gc.isenabled())
+        return run_instance(claim_id, inst)
+
+    monkeypatch.setattr(oracle, "run_instance", watching)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            code, out, _ = run_cli("verify", "thm-3.8", "--grid", "smoke")
+            assert code == 0 and out
+            assert gc.isenabled() is enabled
+            code, out, err = run_cli("verify", "all", "--grid", "smoke", "--h-max", "100000")
+            assert code == 1 and out == "" and "GridTooLargeError" in err
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_unopenable_out_file_is_an_error_not_a_traceback(tmp_path):

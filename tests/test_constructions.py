@@ -63,6 +63,9 @@ def test_gluing_spec_validation():
 
 def test_glue_examples():
     spec = GluingSpec(S567, naturals(), lam=7, mu=26)
+    assert repr(spec) == (
+        "GluingSpec(NumericalSemigroup<5, 6, 7>, NumericalSemigroup<1>, lambda=7, mu=26)"
+    )
     assert cons.glue(spec).minimal_generators == (26, 35, 42, 49)
     spec = GluingSpec(S567, naturals(), lam=5, mu=23)
     assert cons.glue(spec).minimal_generators == (23, 25, 30, 35)
@@ -285,6 +288,10 @@ def test_duplication_spec_validation():
 
 def test_duplicate_examples():
     spec = DuplicationSpec(S567, cons.ideal_full(S567), 7)
+    assert repr(spec) == (
+        "DuplicationSpec(NumericalSemigroup<5, 6, 7>, "
+        "SemigroupIdeal(NumericalSemigroup<5, 6, 7>, gens=[0]), d=7)"
+    )
     dup = cons.duplicate(spec)
     assert dup == NumericalSemigroup([7, 10, 12, 14])
     assert dup.generators == dup.minimal_generators == (7, 10, 12)

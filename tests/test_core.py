@@ -267,6 +267,9 @@ def test_equality_and_hash():
     assert NumericalSemigroup([3, 4, 5, 7]) == NumericalSemigroup([5, 4, 3])
     assert hash(NumericalSemigroup([2, 3])) == hash(NumericalSemigroup([2, 3, 4]))
     assert NumericalSemigroup([2, 3]) != NumericalSemigroup([3, 4, 5])
+    # another type is left to the other side, so == falls back to identity
+    assert NumericalSemigroup([2, 3]).__eq__((2, 3)) is NotImplemented
+    assert NumericalSemigroup([2, 3]) != (2, 3)
 
 
 def test_apery_window_scan_matches_dijkstra():

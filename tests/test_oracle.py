@@ -1,4 +1,5 @@
 import ast
+import gc
 import gzip
 import hashlib
 import importlib
@@ -393,6 +394,30 @@ def test_memo_is_bounded(monkeypatch):
     assert oracle._run_memo is None
 
 
+def test_verify_run_pauses_the_collector_and_restores_its_state():
+    # the outermost run turns the collector off and back to what it found, on
+    # error too; a nested run leaves it as the caller set it
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with oracle.verify_run():
+                assert not gc.isenabled()
+                with oracle.verify_run():
+                    pass
+                assert not gc.isenabled()
+                gc.enable()
+                with oracle.verify_run():
+                    assert gc.isenabled()
+                gc.disable()
+            assert gc.isenabled() is enabled
+            with pytest.raises(GridTooLargeError):
+                verify_claim("thm-3.8", {"h_max": 100000})
+            assert gc.isenabled() is enabled and oracle._run_memo is None
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_memo_does_not_cache_errors(monkeypatch):
     # the cap has one home: a copy on the harness side would not move with it
     assert not hasattr(oracle, "FROBENIUS_CAP")
@@ -665,10 +690,20 @@ def test_full_grid_matches_golden_jsonl(monkeypatch):
     assert len(golden) == 12192
     canon = _counted(monkeypatch, oracle, "_canon")
     dup_pf = _counted(monkeypatch, cons, "_duplication_pf")
-    with oracle.verify_run() as memo:
-        assert [r.json_line() for r in verify_claim("all", {"preset": "full"})] == golden
-        tags = Counter(key[0] for key in memo)
-        rows = [(key, row) for key, row in memo.items() if key[0] == "gas"]
+    # verify_run pauses the collector because a run makes no reference cycles:
+    # with it off, a collection after the run finds nothing unreachable
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        with oracle.verify_run() as memo:
+            assert [r.json_line() for r in verify_claim("all", {"preset": "full"})] == golden
+            tags = Counter(key[0] for key in memo)
+            rows = [(key, row) for key, row in memo.items() if key[0] == "gas"]
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
     assert tags == {
         "stats": 2450, "dup": 186, "gas": 2187, "ideal": 26, "semigroup": 9,
         "gas grid": 1, "last closure": 1,
@@ -805,8 +840,14 @@ def test_report_equality_ignores_elapsed():
     assert again == report
     again.match = not report.match
     assert again != report
+    assert report.__eq__(report.json_line()) is NotImplemented
+    assert report != report.json_line()
     with pytest.raises(TypeError):
         hash(report)
+    assert repr(oracle.VerificationReport("thm-3.8", {"h": 2}, [1], [1], True, 0.5)) == (
+        "VerificationReport(claim='thm-3.8', instance={'h': 2}, closed_form=[1], "
+        "oracle=[1], match=True, elapsed=0.5)"
+    )
 
 
 def test_report_line_is_json_dumps_on_both_encoders(monkeypatch):

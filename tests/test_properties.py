@@ -151,6 +151,8 @@ def gluings(draw):
 @settings(max_examples=60, deadline=None)
 def test_glue_matches_oracle(spec):
     glued = cons.glue(spec)
+    # the gluing lemma (glue's docstring): the scaled set, repeat-free, is minimal
+    assert glued.minimal_generators == tuple(sorted(spec.generators))
     naive = naive_stats(glued.minimal_generators)
     assert glued.pf_set() == naive.pf == cons.gluing_pf(spec)
     assert glued.frobenius == naive.frobenius == cons.gluing_frobenius_closed(spec)
