@@ -165,8 +165,7 @@ def _cmd_verify(args) -> int:
         out = open(args.out, "w") if args.out else sys.stdout
 
         def streamed(claim_id: str, instances: list[dict]):
-            for inst in instances:
-                report = oracle.run_instance(claim_id, inst)
+            for report in oracle.run_claim(claim_id, instances):
                 print(report.json_line(), file=out)
                 yield report
 

@@ -1,36 +1,33 @@
 """The verify harness: each closed form of the paper against the definitional engine.
 
 The engine, the Apery-free side, lives in its own module, ``nsg.naive``;
-this module keeps the run memo, the grids, the checks and the runner.  The
-claim registry at the bottom holds one row per claim, the only place its id
-is written: its grid, its check, its judge and, for a statement published in
-two readings, the reading key and values, which only its own grid may carry.
-``claim_grids`` says what one run checks: one claim, or for 'all' each claim
-with the grid less the others' reading keys.  A check returns a tag refining
-the claim id (``/b=2``, ``/case-proper`` or ``""``), the closed form and the
-oracle's answer; ``run_instance`` times it, judges it and builds the one
-report per instance, and ``tally`` sums a claim up in one pass over its
-reports, keeping none.  An iff claim passes when the closed form equals the
-oracle's answer; a one-way soundness check passes unless the closed form
-contradicts the oracle.  Mismatches are findings to surface, never to patch
-away.  One verify run (``verify_run``) keeps one memo of what it asks more
-than once: an oracle answer per distinct semigroup and per distinct
-duplication; one row per GAS tuple (n0, s, d, p), holding its parameters,
-its oracle answer, its ``/b=…`` tag and the oracle's maximal and minimal
-flags, so that every GAS reading after the first answers a tuple with one
-lookup; and on the closed-form side a core semigroup per generator tuple,
-an ideal per (generators, ideal generators) and the GAS grid per bounds.
-It also keeps one closure, the last the run made: a semigroup whose
-generators are those plus one larger generator, as GAS(n0, s, d, p)
-follows GAS(n0, s, d, p - 1) in the grid, is closed by extending it.  The
-memo is dropped when the run ends.  Its oracle answers are immutable, with
-PF as a tuple, so a lookup hands out the stored answer with no copy.  The
-outermost run pauses the cyclic garbage collector, which is safe because a
-run makes no reference cycles (a test pins it), and puts it back as it found
-it on exit, on error too.
-Outside a run the checks compute afresh, and direct ``naive_*`` calls are
-never cached and return PF lists.
-Each report is one JSON line, written by one encoder built per process.
+this module keeps the run memo, the grids, the questions, the checks and the
+runner.  The claim registry at the bottom holds one row per claim, the only
+place its id is written: its grid, its question, its check, its judge and,
+for a statement published in two readings, the reading key and values, which
+only its own grid may carry.  ``claim_grids`` says what one run checks: one
+claim, or for 'all' each claim with the grid less the others' reading keys.
+
+A claim is a question, a check and a judge, run by ``run_claim``, the one
+driver of instances.  The question (``ask``) reads the oracle's answer off
+the instance alone, through the run memo over ``nsg.naive`` and the
+families' generator formulas, never the core or the constructions (a test
+makes both raise while every row asks).  The check takes the instance and
+that answer and returns a tag refining the claim id (``/b=2``,
+``/case-proper`` or ``""``), the closed form and the oracle field.
+``run_claim`` times question, check, judge and report per instance, and
+``tally`` sums a claim up in one pass over its reports, keeping none.  An
+iff claim passes when the closed form equals the oracle's answer; a one-way
+soundness check passes unless the closed form contradicts the oracle.
+Mismatches are findings to surface, never to patch away.
+
+One verify run (``verify_run``) keeps one memo of what it asks more than
+once, described with it below: oracle answers, one row per GAS tuple, the
+closed forms' core objects and the last closure, which the next GAS tuple
+extends.  The outermost run pauses the cyclic garbage collector and puts it
+back as it found it.  Outside a run the questions and checks compute afresh,
+and direct ``naive_*`` calls are never cached and return PF lists.  Each
+report is one JSON line, written by one encoder built per process.
 """
 
 from __future__ import annotations
@@ -148,20 +145,17 @@ class VerificationReport:
 # where it is shared: oracle answers are frozen with PF as a tuple (a check
 # that reports PF hands the judge its own ``list(stats.pf)``), core
 # semigroups, GAS rows and grids are immutable, and an ideal only caches
-# what it derives.  A GAS tuple's row (``_GasRow``) holds all that its
-# checks ask of the memo: the parameters, the oracle answer (kept under its
-# own ``stats`` key too), the ``/b=…`` tag and the oracle's two extremality
-# flags.  The first instance that asks builds it inside its timed span; every
-# check still evaluates its own closed form.  A value is stored once its
+# what it derives.  A GAS tuple's row (``_GasRow``), its question's answer,
+# holds all that its checks read: the parameters, the oracle answer (kept
+# under its own ``stats`` key too), the ``/b=…`` tag and the oracle's two
+# extremality flags.  The first instance that asks builds it inside its timed
+# span; every check still evaluates its own closed form.  A value is stored once its
 # builder returns, so an error is never stored.  The oracle answers and the
 # core objects share this dict but no code path.  The memo is module-level
 # because verify runs in one thread; a concurrent caller can lose hits, never
 # get a wrong answer: the last closure is read and written as one (key, bits)
-# pair.  The outermost run pauses the cyclic collector: a run makes no
-# reference cycles (``test_full_grid_matches_golden_jsonl`` pins it), so a
-# collection would only rescan what the caller keeps, and one gen-1 pass
-# (about 0.4 ms) costs a hundred median instances.  The collector's prior
-# state comes back on exit, on error too.
+# pair.  The outermost run pauses the cyclic collector (``verify_run``): one
+# gen-1 pass (about 0.4 ms) costs a hundred median instances.
 
 _run_memo: dict | None = None
 
@@ -539,56 +533,83 @@ def _dup_uniform_instances(grid: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Per-claim checks: each returns (tag, closed form, oracle answer), where the
-# tag refines the claim id in the report's label
+# Oracle questions: each asks the oracle about its instance alone, through the
+# run memo over nsg.naive and the families' generator formulas, and reaches
+# neither the core nor the constructions (``_gas`` above is the GAS question)
+
+
+def _family(name: str) -> Callable[[dict], NaiveStats]:
+    """The question of a named family: its semigroup at an instance's parameter values."""
+    family = fam.FAMILIES[name]
+    return lambda inst: _oracle_stats(family.generators(*[inst[p] for p in family.params]))
+
+
+def _glued(inst: dict) -> NaiveStats:
+    """The gluing of S1 and S2: lambda*s1 and mu*s2, the instance's generators scaled."""
+    lam, mu = inst["lambda"], inst["mu"]
+    return _oracle_stats([lam * g for g in inst["s1"]] + [mu * g for g in inst["s2"]])
+
+
+def _nice(inst: dict) -> NaiveStats:
+    """The nice extension of S: p*s and the target sum(coeffs_i * s_i), which glue S with N."""
+    gens = inst["s"]
+    target = sum(map(operator.mul, inst["coeffs"], gens))
+    return _oracle_stats([inst["p"] * g for g in gens] + [target])
+
+
+def _dup(e: str, inst: dict) -> NaiveStats:
+    """The duplication of S = <gens> by d, with E the instance's ideal (``e`` "ideal"), S
+    ("S") or S* ("S*"), which the instance's gens generate: G + S = S* for any generating
+    set G of S."""
+    gens = inst["gens"]
+    e_gens = inst["ideal"] if e == "ideal" else [0] if e == "S" else gens
+    return _oracle_dup_stats(gens, e_gens, inst["d"])
+
+
+def _dup_uniform(inst: dict) -> NaiveStats:
+    """The duplication of the uniform-type semigroup at r by d, with E = S."""
+    return _oracle_dup_stats(fam.FAMILIES["uniform-type"].generators(inst["r"]), [0], inst["d"])
+
+
+# ---------------------------------------------------------------------------
+# Per-claim checks: each takes an instance and its question's answer and returns
+# (tag, closed form, oracle field), where the tag refines the claim id in the
+# report's label
 
 Check = tuple[str, list, list]
 
 
-def _check_gas_pf(inst: dict) -> Check:
-    row = _gas(inst)
+def _check_gas_pf(inst: dict, row: _GasRow) -> Check:
     variant = inst["variant"]
-    return (
-        f"{row.b_tag}/variant={variant}",
-        [fam.gas_pf_closed(row.params, variant)],
-        [list(row.stats.pf)],
-    )
+    closed = [fam.gas_pf_closed(row.params, variant)]
+    return f"{row.b_tag}/variant={variant}", closed, [list(row.stats.pf)]
 
 
-def _check_gas_maximal(inst: dict) -> Check:
-    row = _gas(inst)
+def _check_gas_maximal(inst: dict, row: _GasRow) -> Check:
     return row.b_tag, [fam.gas_maximal_predicate(row.params)], [row.is_maximal]
 
 
-def _check_gas_minimal(inst: dict) -> Check:
-    row = _gas(inst)
+def _check_gas_minimal(inst: dict, row: _GasRow) -> Check:
     mode = inst["mode"]
     return f"/mode={mode}", [fam.gas_minimal_predicate(row.params, mode)], [row.is_minimal]
 
 
-def _family_gens(name: str, inst: dict) -> Sequence[int]:
-    """The generators of the named family at the parameter values ``inst`` holds."""
-    family = fam.FAMILIES[name]
-    return family.generators(*[inst[param] for param in family.params])
-
-
-def _check_backelin_pf(inst: dict) -> Check:
+def _check_backelin_pf(inst: dict, stats: NaiveStats) -> Check:
     n, r = inst["n"], inst["r"]
     closed = [fam.backelin_pf_closed(n, r), fam.backelin_frobenius_closed(n, r)]
-    got = list(_oracle_stats(_family_gens("backelin", inst)).pf)
+    got = list(stats.pf)
     return "", closed, [got, max(got)]
 
 
-def _check_never_extremal(family: str, inst: dict) -> Check:
+def _check_never_extremal(inst: dict, stats: NaiveStats) -> Check:
     """Backelin and Bresinsky: neither maximal nor minimal."""
-    return "", ["neither"], [_oracle_stats(_family_gens(family, inst)).extremality_label]
+    return "", ["neither"], [stats.extremality_label]
 
 
-def _check_bresinsky_pf(inst: dict) -> Check:
+def _check_bresinsky_pf(inst: dict, stats: NaiveStats) -> Check:
     h = inst["h"]
-    closed = [fam.bresinsky_pf_closed(h), 4 * h - 3]
-    got = list(_oracle_stats(_family_gens("bresinsky", inst)).pf)
-    return "", closed, [got, len(got)]
+    got = list(stats.pf)
+    return "", [fam.bresinsky_pf_closed(h), 4 * h - 3], [got, len(got)]
 
 
 def _gluing_spec(inst: dict) -> cons.GluingSpec:
@@ -597,31 +618,26 @@ def _gluing_spec(inst: dict) -> cons.GluingSpec:
     )
 
 
-def _check_gluing_pf(inst: dict) -> Check:
+def _check_gluing_pf(inst: dict, stats: NaiveStats) -> Check:
     spec = _gluing_spec(inst)
-    closed = [
-        cons.gluing_pf(spec),
-        len(spec.s1.pf_set()) * len(spec.s2.pf_set()),
-        cons.gluing_frobenius_closed(spec),
-    ]
-    stats = _oracle_stats(spec.generators)
+    cm_type = len(spec.s1.pf_set()) * len(spec.s2.pf_set())
+    closed = [cons.gluing_pf(spec), cm_type, cons.gluing_frobenius_closed(spec)]
     return "", closed, [list(stats.pf), stats.cm_type, stats.frobenius]
 
 
-def _check_gluing_maximal(inst: dict) -> Check:
+def _check_gluing_maximal(inst: dict, stats: NaiveStats) -> Check:
     spec = _gluing_spec(inst)
     try:
         condition = cons.gluing_maximal_sufficient(spec)
     except cons.NotApplicableError:
         return "", ["not-applicable"], []
-    return "", [condition], [_oracle_stats(spec.generators).is_maximal]
+    return "", [condition], [stats.is_maximal]
 
 
-def _check_nice_extension(inst: dict) -> Check:
+def _check_nice_extension(inst: dict, stats: NaiveStats) -> Check:
     s = _semigroup(inst["s"])
-    spec = cons.nice_extension(s, inst["p"], inst["coeffs"])
-    base_max = s.pf_profile().extremality.is_maximal
-    return "", [base_max], [_oracle_stats(spec.generators).is_maximal]
+    cons.nice_extension(s, inst["p"], inst["coeffs"])  # refuses a non-extension
+    return "", [s.pf_profile().extremality.is_maximal], [stats.is_maximal]
 
 
 def _dup_spec(inst: dict) -> cons.DuplicationSpec:
@@ -636,42 +652,31 @@ _KIND_TAG = {
 }
 
 
-def _check_dup_pf(inst: dict) -> Check:
+def _check_dup_pf(inst: dict, stats: NaiveStats) -> Check:
     spec = _dup_spec(inst)
-    closed = [
-        cons.duplication_pf(spec),
-        cons.duplication_type_closed(spec),
-        2 * spec.e.tilde_frobenius + spec.d,
-    ]
-    stats = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"])
-    got = [list(stats.pf), stats.cm_type, stats.frobenius]
-    return _KIND_TAG[spec.e_kind], closed, got
+    frobenius = 2 * spec.e.tilde_frobenius + spec.d
+    closed = [cons.duplication_pf(spec), cons.duplication_type_closed(spec), frobenius]
+    return _KIND_TAG[spec.e_kind], closed, [list(stats.pf), stats.cm_type, stats.frobenius]
 
 
-def _check_dup_minimal(inst: dict) -> Check:
+def _check_dup_minimal(inst: dict, stats: NaiveStats) -> Check:
     result = cons.duplication_min_classifier(_dup_spec(inst))
-    oracle_min = _oracle_dup_stats(inst["gens"], inst["ideal"], inst["d"]).is_minimal
-    return f"/{result.clause}", [result.clause, result.verdict.value], [oracle_min]
+    return f"/{result.clause}", [result.clause, result.verdict.value], [stats.is_minimal]
 
 
-def _check_dup_maximal(star: bool, inst: dict) -> Check:
+def _check_dup_maximal(star: bool, inst: dict, stats: NaiveStats) -> Check:
     """E = S or E = S*: the maximality iff of the duplication."""
-    s = _semigroup(inst["gens"])
     closed_form = cons.duplication_max_star if star else cons.duplication_max_self
-    closed = closed_form(s, inst["d"])
-    e_gens = list(s.minimal_generators) if star else [0]
-    return "", [closed], [_oracle_dup_stats(inst["gens"], e_gens, inst["d"]).is_maximal]
+    return "", [closed_form(_semigroup(inst["gens"]), inst["d"])], [stats.is_maximal]
 
 
-def _check_fixed_type(family: str, extremal: str, inst: dict) -> Check:
+def _check_fixed_type(family: str, extremal: str, inst: dict, stats: NaiveStats) -> Check:
     """Uniform type (maximal) and staircase (minimal): PF and extremality."""
-    stats = _oracle_stats(_family_gens(family, inst))
     closed = fam.FAMILIES[family].pf_closed(inst["r"])
     return "", [closed, True], [list(stats.pf), getattr(stats, extremal)]
 
 
-def _check_dup_uniform_type(inst: dict) -> Check:
-    stats = _oracle_dup_stats(_family_gens("uniform-type", inst), [0], inst["d"])
+def _check_dup_uniform_type(inst: dict, stats: NaiveStats) -> Check:
     return "", [inst["r"], True], [stats.cm_type, stats.is_maximal]
 
 
@@ -695,14 +700,16 @@ def _verdict_not_contradicted(closed_form: list, oracle: list) -> bool:
 
 
 class _Claim(NamedTuple):
-    """One registered claim: its grid enumerator, its check and its judge,
-    which decides a match from the closed form and the oracle's answer.  A
-    statement published in two readings also names the instance key that
-    carries the reading (the grid key that pins one, which no other claim
-    reads) and the readings; verify runs each in turn and adjudicates."""
+    """One registered claim: a question, a check and a judge, which ``run_claim`` runs over
+    its grid's instances.  ``ask(inst)`` is the oracle's answer, read off the instance alone;
+    ``check(inst, answer)`` gives the tag, the closed form and the oracle field, and the
+    judge decides a match from those two.  A statement published in two readings also names
+    the instance key that carries the reading (the grid key that pins one, which no other
+    claim reads) and the readings; verify runs each in turn and adjudicates."""
 
     instances: Callable[[dict], list[dict]]
-    check: Callable[[dict], Check]
+    ask: Callable[[dict], object]
+    check: Callable[[dict, object], Check]
     judge: Callable[[list, list], bool] = operator.eq
     reading: str | None = None
     readings: Sequence[str] = ()
@@ -710,32 +717,40 @@ class _Claim(NamedTuple):
 
 _CLAIMS: dict[str, _Claim] = {
     "thm-3.1": _Claim(
-        _gas_instances, _check_gas_pf, reading="variant", readings=fam.GAS_PF_VARIANTS
+        _gas_instances, _gas, _check_gas_pf, reading="variant", readings=fam.GAS_PF_VARIANTS
     ),
-    "prop-3.2": _Claim(_gas_instances, _check_gas_maximal),
+    "prop-3.2": _Claim(_gas_instances, _gas, _check_gas_maximal),
     "prop-3.3": _Claim(
-        _gas_instances, _check_gas_minimal, reading="mode", readings=fam.GAS_MINIMAL_MODES
+        _gas_instances, _gas, _check_gas_minimal, reading="mode", readings=fam.GAS_MINIMAL_MODES
     ),
-    "prop-3.5": _Claim(_backelin_instances, _check_backelin_pf),
-    "prop-3.6": _Claim(_backelin_instances, partial(_check_never_extremal, "backelin")),
-    "thm-3.8": _Claim(_bresinsky_instances, _check_bresinsky_pf),
-    "prop-3.10": _Claim(_bresinsky_instances, partial(_check_never_extremal, "bresinsky")),
-    "cor-4.2": _Claim(_gluing_instances, _check_gluing_pf),
-    "prop-4.3": _Claim(_gluing_instances, _check_gluing_maximal, _sufficient_for_maximal),
-    "cor-4.6": _Claim(_nice_ext_instances, _check_nice_extension),
-    "thm-5.2": _Claim(_dup_instances, _check_dup_pf),
-    "thm-5.4": _Claim(_dup_instances, _check_dup_minimal, _verdict_not_contradicted),
-    "prop-5.7": _Claim(_dup_self_instances, partial(_check_dup_maximal, False)),
-    "prop-5.9": _Claim(_dup_self_instances, partial(_check_dup_maximal, True)),
+    "prop-3.5": _Claim(_backelin_instances, _family("backelin"), _check_backelin_pf),
+    "prop-3.6": _Claim(_backelin_instances, _family("backelin"), _check_never_extremal),
+    "thm-3.8": _Claim(_bresinsky_instances, _family("bresinsky"), _check_bresinsky_pf),
+    "prop-3.10": _Claim(_bresinsky_instances, _family("bresinsky"), _check_never_extremal),
+    "cor-4.2": _Claim(_gluing_instances, _glued, _check_gluing_pf),
+    "prop-4.3": _Claim(_gluing_instances, _glued, _check_gluing_maximal, _sufficient_for_maximal),
+    "cor-4.6": _Claim(_nice_ext_instances, _nice, _check_nice_extension),
+    "thm-5.2": _Claim(_dup_instances, partial(_dup, "ideal"), _check_dup_pf),
+    "thm-5.4": _Claim(
+        _dup_instances, partial(_dup, "ideal"), _check_dup_minimal, _verdict_not_contradicted
+    ),
+    "prop-5.7": _Claim(
+        _dup_self_instances, partial(_dup, "S"), partial(_check_dup_maximal, False)
+    ),
+    "prop-5.9": _Claim(
+        _dup_self_instances, partial(_dup, "S*"), partial(_check_dup_maximal, True)
+    ),
     "remark-5.3": _Claim(
         partial(_r_instances, "uniform-type"),
+        _family("uniform-type"),
         partial(_check_fixed_type, "uniform-type", "is_maximal"),
     ),
     "remark-5.5": _Claim(
         partial(_r_instances, "staircase"),
+        _family("staircase"),
         partial(_check_fixed_type, "staircase", "is_minimal"),
     ),
-    "remark-5.8": _Claim(_dup_uniform_instances, _check_dup_uniform_type),
+    "remark-5.8": _Claim(_dup_uniform_instances, _dup_uniform, _check_dup_uniform_type),
 }
 
 
@@ -780,14 +795,22 @@ def claim_instances(claim_id: str, grid: dict | None = None) -> list[dict]:
     return [{**inst, key: v} for v in chosen for inst in instances]
 
 
+def run_claim(claim_id: str, instances: Iterable[dict]) -> Iterator[VerificationReport]:
+    """Each instance of a registered claim asked, checked and judged, one report as each is
+    drawn; ``elapsed`` times all three and the report."""
+    row = _claim(claim_id)
+    ask, check, judge = row.ask, row.check, row.judge
+    for inst in instances:
+        t0 = perf_counter()
+        tag, closed_form, got = check(inst, ask(inst))
+        report = VerificationReport(claim_id + tag, inst, closed_form, got, judge(closed_form, got))
+        report.elapsed = perf_counter() - t0
+        yield report
+
+
 def run_instance(claim_id: str, inst: dict) -> VerificationReport:
-    """Check one instance of a registered claim and judge it; ``elapsed`` times both."""
-    t0 = perf_counter()
-    row = _CLAIMS[claim_id]
-    tag, closed_form, got = row.check(inst)
-    report = VerificationReport(claim_id + tag, inst, closed_form, got, row.judge(closed_form, got))
-    report.elapsed = perf_counter() - t0
-    return report
+    """``run_claim`` of one instance."""
+    return next(run_claim(claim_id, [inst]))
 
 
 def tally(
@@ -837,5 +860,5 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
     """
     with verify_run():
         if claim_id != "all":
-            return [run_instance(claim_id, inst) for inst in claim_instances(claim_id, grid)]
+            return list(run_claim(claim_id, claim_instances(claim_id, grid)))
         return [rep for cid, own in claim_grids(claim_id, grid) for rep in verify_claim(cid, own)]

@@ -304,13 +304,14 @@ def test_verify_refused_run_leaves_out_file_alone(tmp_path):
 def test_verify_pauses_the_collector_and_restores_its_state(monkeypatch):
     # the CLI's run is one verify run: no instance runs with the collector on,
     # and it is left as it was found, after a refused run too
-    seen, run_instance = [], oracle.run_instance
+    seen, run_claim = [], oracle.run_claim
 
-    def watching(claim_id, inst):
-        seen.append(gc.isenabled())
-        return run_instance(claim_id, inst)
+    def drawn(instances):
+        for inst in instances:
+            seen.append(gc.isenabled())
+            yield inst
 
-    monkeypatch.setattr(oracle, "run_instance", watching)
+    monkeypatch.setattr(oracle, "run_claim", lambda claim, insts: run_claim(claim, drawn(insts)))
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -343,19 +344,20 @@ def test_unopenable_out_file_is_an_error_not_a_traceback(tmp_path):
 def test_verify_runs_the_plan_it_validated_and_streams(monkeypatch):
     # each claim is enumerated once, and every line is out before the next check runs
     enumerated, printed_before = [], []
-    claim_instances, run_instance = oracle.claim_instances, oracle.run_instance
+    claim_instances, run_claim = oracle.claim_instances, oracle.run_claim
     out = io.StringIO()
 
     def counting(claim_id, grid=None):
         enumerated.append(claim_id)
         return claim_instances(claim_id, grid)
 
-    def watching(claim_id, inst):
-        printed_before.append(out.getvalue().count("\n"))
-        return run_instance(claim_id, inst)
+    def drawn(instances):
+        for inst in instances:
+            printed_before.append(out.getvalue().count("\n"))
+            yield inst
 
     monkeypatch.setattr(oracle, "claim_instances", counting)
-    monkeypatch.setattr(oracle, "run_instance", watching)
+    monkeypatch.setattr(oracle, "run_claim", lambda claim, insts: run_claim(claim, drawn(insts)))
     monkeypatch.setattr("sys.stdout", out)
     assert cli.main(["verify", "all", "--grid", "smoke"]) == 0
     assert enumerated == oracle.registered_claims()
@@ -438,16 +440,20 @@ def test_verify_keeps_no_report(monkeypatch):
         __slots__ = ("__weakref__",)
 
     refs, most_alive = [], []
-    run_instance = oracle.run_instance
+    run_claim = oracle.run_claim
 
-    def tracked(claim_id, inst):
-        most_alive.append(sum(ref() is not None for ref in refs))
-        report = run_instance(claim_id, inst)
-        refs.append(weakref.ref(report))
-        return report
+    def drawn(instances):
+        for inst in instances:
+            most_alive.append(sum(ref() is not None for ref in refs))
+            yield inst
+
+    def tracked(claim_id, instances):
+        for report in run_claim(claim_id, drawn(instances)):
+            refs.append(weakref.ref(report))
+            yield report
 
     monkeypatch.setattr(oracle, "VerificationReport", Report)
-    monkeypatch.setattr(oracle, "run_instance", tracked)
+    monkeypatch.setattr(oracle, "run_claim", tracked)
     code, out, _ = run_cli("verify", "all", "--grid", "smoke")
     assert code == 0
     assert len(most_alive) == out.count("\n") > 0
@@ -505,6 +511,18 @@ def test_verify_all_full_matches_golden_stream(tmp_path):
     with gzip.open(FULL_JSONL, "rb") as fh:
         assert written == fh.read()
     assert hashlib.sha256(written).hexdigest().startswith("a062f7285f59")
+
+
+def test_verify_all_small_matches_its_pinned_stream():
+    # the small preset, which no golden file holds: every byte of stdout and of stderr
+    code, out, err = run_cli("verify", "all", "--grid", "small")
+    assert code == 0 and out.count("\n") == 5711
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c90d8b2902491c236e0e10efde6192103fc88dee58ec092ed95b68bb957960de"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "2e0e9714b43703a882ba6ef4b653d8bfb61a3c5a478378423222a59c7ffc6dfe"
+    )
 
 
 def test_verify_reading_flag_is_read_by_its_claim_alone(tmp_path):

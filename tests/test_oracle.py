@@ -518,7 +518,7 @@ def test_claim_instances_refuses_an_unknown_claim_by_name():
 
 
 def test_all_refuses_a_bad_grid_before_any_instance_runs(monkeypatch):
-    monkeypatch.setattr(oracle, "run_instance", None)
+    monkeypatch.setattr(oracle, "run_claim", None)
     for grid, error in (
         ({"mode": "bogus"}, InvalidParamError),
         ({"variant": ["Corrected"]}, InvalidParamError),
@@ -588,7 +588,7 @@ def test_misshapen_grid_value_is_refused(monkeypatch):
     # a preset must be a known string, and a reading one of its claim's readings,
     # refused before any instance runs
     every = oracle.claim_instances("prop-3.3", {"preset": "smoke"})
-    monkeypatch.setattr(oracle, "run_instance", None)
+    monkeypatch.setattr(oracle, "run_claim", None)
     with pytest.raises(UnknownClaimError, match="preset"):
         verify_claim("thm-3.1", {"preset": ["full"]})
     for claim_id, grid in (
@@ -961,25 +961,69 @@ def test_adjudication_thm_3_1():
 
 
 def _lie(stats):
-    """A wrong oracle answer: one PF element too many, F one higher, maximality flipped."""
+    """A wrong oracle answer: one PF element too many, F one higher, maximality flipped;
+    for a GAS row, its answer so and both of its flags flipped."""
+    if isinstance(stats, oracle._GasRow):
+        flags = {"is_maximal": not stats.is_maximal, "is_minimal": not stats.is_minimal}
+        return stats._replace(stats=_lie(stats.stats), **flags)
     pf = list(stats.pf) + [stats.frobenius + 1]
     return oracle.NaiveStats(
         pf=pf, reduced_type=1 if stats.is_maximal else len(pf), frobenius=stats.frobenius + 1
     )
 
 
-@pytest.mark.parametrize(
-    "claim", ["prop-3.5", "cor-4.2", "cor-4.6", "thm-5.2", "prop-5.7", "remark-5.8"]
-)
+EQUALITY_JUDGED = [
+    "prop-3.2", "prop-3.5", "prop-3.6", "thm-3.8", "prop-3.10", "cor-4.2", "cor-4.6", "thm-5.2",
+    "prop-5.7", "prop-5.9", "remark-5.3", "remark-5.5", "remark-5.8",
+]
+
+
+@pytest.mark.parametrize("claim", EQUALITY_JUDGED)
 def test_equality_judge_reports_a_wrong_oracle(monkeypatch, claim):
-    # claims that are not adjudicated pass only when closed form == oracle
-    stats, dup_stats = oracle._oracle_stats, oracle._oracle_dup_stats
-    monkeypatch.setattr(oracle, "_oracle_stats", lambda gens: _lie(stats(gens)))
-    monkeypatch.setattr(oracle, "_oracle_dup_stats", lambda *key: _lie(dup_stats(*key)))
+    # claims that are not adjudicated pass only when closed form == oracle; the lie is told
+    # by the row's question, so no report matching shows that the oracle field is the
+    # asked answer's, not the core's
+    row = oracle._CLAIMS[claim]
+    monkeypatch.setitem(oracle._CLAIMS, claim, row._replace(ask=lambda inst: _lie(row.ask(inst))))
     reports = verify_claim(claim, {"preset": "smoke"})
     assert reports
     assert not any(json.loads(r.json_line())["match"] for r in reports)
     assert not oracle.claim_passes(claim, reports)
+
+
+def test_every_question_reads_its_instance_alone(monkeypatch):
+    # the oracle side of every claim is independent of the closed forms: each row's
+    # question is asked of every full-grid instance with the core's semigroups and every
+    # construction made to raise, and each check, handed the recorded answer with the
+    # oracle made to raise, gives the golden oracle field
+    with gzip.open(FULL_JSONL, "rt") as fh:
+        golden = [json.dumps(json.loads(line)["oracle"]) for line in fh]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    plan = [
+        (oracle._CLAIMS[claim], inst)
+        for claim, own in oracle.claim_grids("all", {"preset": "full"})
+        for inst in oracle.claim_instances(claim, own)
+    ]
+    with oracle.verify_run():  # opened after planning, so it holds no core semigroup
+        monkeypatch.setattr(NumericalSemigroup, "__init__", refuse)
+        monkeypatch.setattr(NumericalSemigroup, "contains", refuse)
+        for name, value in vars(cons).items():
+            if isinstance(value, (types.FunctionType, type)) and value.__module__ == cons.__name__:
+                monkeypatch.setattr(cons, name, refuse)
+        answers = [row.ask(inst) for row, inst in plan]
+        monkeypatch.undo()
+        for name in ("_oracle_stats", "_oracle_dup_stats", "_gas"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for owner in (naive, oracle):
+            for name, value in vars(owner).items():
+                if isinstance(value, types.FunctionType) and value.__module__ == naive.__name__:
+                    monkeypatch.setattr(owner, name, refuse)
+        fields = [row.check(inst, answer)[2] for (row, inst), answer in zip(plan, answers)]
+    assert len(fields) == len(golden) == 12192
+    assert [json.dumps(field) for field in fields] == golden
 
 
 def test_one_way_judges_fail_only_on_a_contradiction():
