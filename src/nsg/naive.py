@@ -10,12 +10,13 @@ already holds the new F + m.  One scan of the window finds the multiplicity,
 F, the pseudo-Frobenius numbers and the reduced type.  PF is tested against
 the generators the closure was built from: f is in PF(S) iff f is a gap and
 f + g is in S for every generator g, since every s in S* is g + t with g a
-generator and t in S, so f + s = (f + g) + t.  A duplication's table is
-spread out of the closure of S and goes through the same scan, with the
-duplication's generators.  ``naive_closure`` is a list view of the closure,
-which the slow all-members PF reference reads.  This module is the
-independent side of the verify harness (``nsg.oracle``): it imports the
-standard library and, from the core, the error classes only.
+generator and t in S, so f + s = (f + g) + t.  A duplication 2*S u (2*E + d)
+is the closure of its own generators, 2g for each generator g of S and 2e + d
+for each generator e of E, through the same closure, cap and scan.
+``naive_closure`` is a list view of the closure, which the slow all-members
+PF reference reads.  This module is the independent side of the verify
+harness (``nsg.oracle``): it imports the standard library and, from the
+core, the error classes only.
 """
 
 from __future__ import annotations
@@ -238,38 +239,18 @@ def _pf_over_all_members(table: list[bool]) -> list[int]:
     ]
 
 
-def _spread(bits: int) -> int:
-    """Move bit i of ``bits`` (a nonnegative int) to bit 2i."""
-    return int("0".join(bin(bits)[2:]), 2)
-
-
 def naive_duplication_stats(
     s_gens: Sequence[int], e_gens: Sequence[int], d: int
 ) -> NaiveStats:
-    """Definitional stats of 2*S u (2*E + d), assembled without the constructions module.
+    """Definitional stats of D = 2*S u (2*E + d): ``naive_stats`` of D's generators.
 
-    ``e_gens`` are ideal generators inside S ([0] means E = S).  E is the OR
-    of the shifts g + S of the one closure of S, 2*S and 2*E + d are spread
-    out of S and E bit by bit, and the duplication goes through the same scan
-    as ``naive_stats``.  Like the closure, a window past ``FROBENIUS_CAP``
-    plus its multiplicity raises GridTooLargeError.
+    ``e_gens`` generate the ideal E = e_gens + S of S = <s_gens> ([0] means
+    E = S).  For E an ideal of S and d odd in S, D = <2g, 2e + d : g in s_gens,
+    e in e_gens>:
+    - 2(e + s) + d = (2e + d) + 2s, so every element of D is a sum of them;
+    - two odd elements sum into 2*S, since E is inside S and d is in S;
+    - so every sum of them stays in D, and D is the semigroup they generate.
+    Other inputs get the statistics of the semigroup those generators span, and
+    invalid ones are refused by the closure's own named errors.
     """
-    s_bits = _closure_bits(s_gens)
-    s_cells = s_bits.bit_length()
-    # the closure reaches F(S) + m(S): everything past it is in S
-    s_ext = s_bits | (-1 << s_cells)
-    e_ext = 0
-    for g in e_gens:
-        e_ext |= s_ext << g
-    # least c with [c, oo) in E
-    c_e = (~e_ext).bit_length()
-
-    mult = min(2 * min(s_gens), 2 * min(e_gens) + d)
-    bound = max(2 * s_cells, 2 * c_e + d) + mult
-    if bound > FROBENIUS_CAP + mult:
-        raise GridTooLargeError(f"duplication table needs more than {FROBENIUS_CAP + mult} cells")
-    half = (1 << (bound // 2 + 1)) - 1
-    dup = _spread(s_ext & half) | _spread(e_ext & half) << d
-    # every element of D* is a sum of these: 2s of 2g's, and 2(e + s) + d = (2e + d) + 2s
-    dup_gens = {2 * g for g in s_gens} | {2 * e + d for e in e_gens}
-    return _stats_from_bits(dup & ((1 << (bound + 1)) - 1), dup_gens)
+    return naive_stats([2 * g for g in s_gens] + [2 * e + d for e in e_gens])

@@ -25,7 +25,13 @@ import nsg.families as fam
 import nsg.naive as naive
 import nsg.oracle as oracle
 from nsg.constructions import Verdict
-from nsg.core import GcdNotOneError, InvalidParamError, NumericalSemigroup, SemigroupError
+from nsg.core import (
+    GcdNotOneError,
+    InvalidParamError,
+    NumericalSemigroup,
+    SemigroupError,
+    ZeroGeneratorError,
+)
 from nsg.naive import (
     GridTooLargeError,
     naive_closure,
@@ -171,29 +177,43 @@ def test_generator_shortcut_equals_full_check():
         assert naive_pf(gens) == naive_pf_full(gens), gens
         assert naive_frobenius(gens) == NumericalSemigroup(gens).frobenius, gens
     # duplications 2*S u (2*E + d) for E = S, S* and a proper ideal, tabulated
-    # here from a closure of S and scanned over all members
+    # here from a closure of S and read off by definition: the reference for the
+    # closure of D's generators that the engine runs
+    def check_dup(gens, e_gens, d, top):
+        in_s = naive_closure(gens, top)
+        in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
+        dup = [
+            x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
+            for x in range(top + 1)
+        ]
+        frob = max((x for x, inn in enumerate(dup) if not inn), default=-1)
+        m = dup.index(True, 1)
+        reduced = sum(x < 0 or not dup[x] for x in range(frob - m + 1, frob + 1))
+        naive_dup = naive_duplication_stats(gens, e_gens, d)
+        assert naive_dup.pf == naive._pf_over_all_members(dup), (gens, e_gens, d)
+        assert (naive_dup.frobenius, naive_dup.reduced_type) == (frob, reduced), (gens, e_gens, d)
+        messy = naive_duplication_stats(gens[::-1] + gens, e_gens[::-1] + e_gens, d)
+        assert messy == naive_dup, (gens, e_gens, d)
+
     done = 0
     while done < 30:
         gens = sorted(rng.sample(range(2, 16), rng.randint(2, 3)))
         if math.gcd(*gens) != 1:
             continue
         s = NumericalSemigroup(gens)
-        # E, d and the conductor of E stay below F + 20, so F(dup) < 5F + 45
+        # E's generators stay below F + 16 and d at most max(F + 20, 2F + 1), so
+        # F(dup) <= 2(F + max E) + d stays below the top
         top = 6 * s.frobenius + 60
-        in_s = naive_closure(gens, top)
-        members = [x for x in range(1, top + 1) if in_s[x]]
-        d = rng.choice([x for x in members[:20] if x % 2])
-        for e_gens in ([0], list(s.minimal_generators), rng.sample(members[:12], 2)):
-            in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
-            dup = [
-                x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
-                for x in range(top + 1)
-            ]
-            naive_dup = naive_duplication_stats(gens, e_gens, d)
-            assert naive_dup.pf == naive._pf_over_all_members(dup), (gens, e_gens, d)
-            messy = naive_duplication_stats(gens[::-1] + gens, e_gens[::-1] + e_gens, d)
-            assert messy.pf == naive._pf_over_all_members(dup) and messy == naive_dup, (gens, e_gens, d)
+        members = [x for x in range(1, top + 1) if s.contains(x)]
+        # a small odd d and one above 2F(S)
+        for d in (rng.choice([x for x in members[:20] if x % 2]), 2 * s.frobenius + 1):
+            for e_gens in ([0], list(s.minimal_generators), rng.sample(members[:12], 2)):
+                check_dup(gens, e_gens, d, top)
         done += 1
+    # S = N, with E = N and E = N*
+    for e_gens in ([0], [1]):
+        for d in (1, 3):
+            check_dup([1], e_gens, d, 20)
 
 
 def test_one_closure_per_call(monkeypatch):
@@ -208,8 +228,9 @@ def test_one_closure_per_call(monkeypatch):
     naive_stats([12, 15, 20, 23])
     assert calls == [(12, 15, 20, 23)]
     calls.clear()
+    # a duplication is closed from its own generators: 2*(3, 4, 5) and 2*(5, 6, 7) + 11
     naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
-    assert calls == [(3, 4, 5)]
+    assert calls == [(6, 8, 10, 21, 23, 25)]
 
 
 def _count_closures(monkeypatch) -> tuple[list, list]:
@@ -239,6 +260,11 @@ def _gas_gens_past_p2(bounds) -> list[tuple[int, ...]]:
     ]
 
 
+def _dup_generators(s_gens, e_gens, d) -> tuple[int, ...]:
+    """The canonical generators of 2*S u (2*E + d): 2g for g in s_gens and 2e + d for e in e_gens."""
+    return tuple(sorted({2 * g for g in s_gens} | {2 * e + d for e in e_gens}))
+
+
 def test_one_closure_per_distinct_semigroup(monkeypatch):
     # verify asks the definitional engine once per distinct semigroup and
     # once per distinct duplication; each answer costs exactly one closure,
@@ -263,7 +289,8 @@ def test_one_closure_per_distinct_semigroup(monkeypatch):
     assert len(set(dup_keys)) == len(dup_keys) > 0
     assert len(reports) > len(stats_keys) + len(dup_keys)
     assert len(fresh) + len(extended) == len(stats_keys) + len(dup_keys)
-    assert sorted(fresh + extended) == sorted(stats_keys + [key[0] for key in dup_keys])
+    dup_gens = [_dup_generators(*key) for key in dup_keys]
+    assert sorted(fresh + extended) == sorted(stats_keys + dup_gens)
     assert extended == _gas_gens_past_p2(oracle._PRESETS["smoke"]["gas"]) != []
     # the memo ends with its run: a second run builds exactly the same closures again
     first = (list(fresh), list(extended))
@@ -499,6 +526,44 @@ def test_naive_duplication_stats():
     assert stats.pf == [23, 25]
     assert stats.is_maximal
     assert stats.extremality_label == "maximal"
+
+
+def test_bad_duplication_inputs_raise_named_errors():
+    # an even, zero or negative d is no duplication: the engine refuses each by a
+    # named error, and so does every duplication claim, by its question or its check
+    for s_gens, e_gens, d, error in (
+        ([3, 4, 5], [0], 4, GcdNotOneError),
+        ([3, 4, 5], [0], 0, ZeroGeneratorError),
+        ([3, 4, 5], [0], -1, ZeroGeneratorError),
+        ([3, 4, 5], [5, 6, 7], 10, GcdNotOneError),
+    ):
+        with pytest.raises(error):
+            naive_duplication_stats(s_gens, e_gens, d)
+    for claim in ("thm-5.2", "thm-5.4", "prop-5.7", "prop-5.9"):
+        for d in (4, -1):
+            with pytest.raises(SemigroupError):
+                oracle.run_instance(claim, {"gens": [3, 4, 5], "ideal": [0], "d": d})
+
+
+def test_self_duplication_is_the_gluing_with_n():
+    # D(S, S, d) = 2S u (2S + d) = 2S + dN, the gluing of S and N with lambda = 2
+    # and mu = d; GluingSpec refuses d a minimal generator of S, where thm-5.2
+    # still covers it
+    glued = refused = 0
+    for inst in oracle.claim_instances("prop-5.7", {"preset": "full"}):
+        s, d = NumericalSemigroup(inst["gens"]), inst["d"]
+        closed = cons.duplication_pf(cons.DuplicationSpec(s, cons.SemigroupIdeal(s, [0]), d))
+        got = naive_duplication_stats(inst["gens"], [0], d).pf
+        if d in s.minimal_generators:
+            with pytest.raises(cons.MuIsMinimalGeneratorError):
+                cons.GluingSpec(s, core.naturals(), 2, d)
+            assert closed == got, inst
+            refused += 1
+        else:
+            gluing = cons.gluing_pf(cons.GluingSpec(s, core.naturals(), 2, d))
+            assert closed == gluing == got, inst
+            glued += 1
+    assert (glued, refused) == (27, 12)
 
 
 def test_unknown_claim():
