@@ -12,7 +12,9 @@ the generators the closure was built from: f is in PF(S) iff f is a gap and
 f + g is in S for every generator g, since every s in S* is g + t with g a
 generator and t in S, so f + s = (f + g) + t.  A duplication 2*S u (2*E + d)
 is the closure of its own generators, 2g for each generator g of S and 2e + d
-for each generator e of E, through the same closure, cap and scan.
+for each generator e of E, through the same closure, cap and scan: the verify
+harness closes those generators itself, like any other semigroup's, and
+``naive_duplication_stats`` is the reference the tests compare against.
 ``naive_closure`` is a list view of the closure, which the slow all-members
 PF reference reads.  This module is the independent side of the verify
 harness (``nsg.oracle``): it imports the standard library and, from the

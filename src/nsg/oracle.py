@@ -10,9 +10,10 @@ claim, or for 'all' each claim with the grid less the others' reading keys.
 
 A claim is a question, a check and a judge, run by ``run_claim``, the one
 driver of instances.  The question (``ask``) reads the oracle's answer off
-the instance alone, through the run memo over ``nsg.naive`` and the
-families' generator formulas, never the core or the constructions (a test
-makes both raise while every row asks).  The check takes the instance and
+the instance alone: it closes one generator tuple, a family's, a gluing's, a
+nice extension's or a duplication's, through ``_canonical_stats``, the one
+function from generators to answer, never the core or the constructions (a
+test makes both raise while every row asks).  The check takes the instance and
 that answer and returns a tag refining the claim id (``/b=2``,
 ``/case-proper`` or ``""``), the closed form and the oracle field.
 ``run_claim`` times question, check, judge and report per instance, and
@@ -46,10 +47,11 @@ from . import constructions as cons
 from . import families as fam
 from . import naive
 from .core import InvalidParamError, NumericalSemigroup, SemigroupError, naturals
-from .naive import GridTooLargeError, NaiveStats, naive_duplication_stats, naive_stats
+from .naive import GridTooLargeError, NaiveStats, naive_stats
 
 # Read by perfbench/tracing.py, which wraps each as oracle.__dict__[name]; they go with its patch table.
-from .naive import naive_closure, naive_frobenius, naive_pf, naive_pf_full, naive_reduced_type
+from .naive import naive_closure, naive_duplication_stats, naive_frobenius, naive_pf
+from .naive import naive_pf_full, naive_reduced_type
 
 
 T = TypeVar("T")
@@ -133,23 +135,23 @@ class VerificationReport:
 # Run memo: each question a verify run asks more than once, answered once
 #
 # Several claims ask the same questions: three claims walk the same GAS grid,
-# each GAS tuple is checked five times, the duplication triples up to four
-# times, and the construction claims build the same few pool semigroups and
-# ideals on every instance.  So a verify run keeps one plain dict, opened by
-# ``verify_run`` and dropped when the run ends; it holds one entry per
-# distinct question of the run's plan, which the grid caps bound, plus the
-# last closure (``_LAST_CLOSURE``), the one entry that is not an answer: each
-# fresh or extended closure replaces it, so the memo holds one table whatever
-# the run's size.  Outside a run every accessor computes afresh.  Keys are
-# tagged tuples, and every answer is a pure function of its key and immutable
-# where it is shared: oracle answers are frozen with PF as a tuple (a check
-# that reports PF hands the judge its own ``list(stats.pf)``), core
-# semigroups, GAS rows and grids are immutable, and an ideal only caches
-# what it derives.  A GAS tuple's row (``_GasRow``), its question's answer,
-# holds all that its checks read: the parameters, the oracle answer (kept
-# under its own ``stats`` key too), the ``/b=…`` tag and the oracle's two
-# extremality flags.  The first instance that asks builds it inside its timed
-# span; every check still evaluates its own closed form.  A value is stored once its
+# each GAS tuple is checked five times, up to four claims close the same
+# duplication's generators, and the construction claims build the same few pool
+# semigroups and ideals on every instance.  So a verify run keeps one plain
+# dict, opened by ``verify_run`` and dropped when the run ends; it holds one
+# entry per distinct question of the run's plan, which the grid caps bound,
+# plus the last closure (``_LAST_CLOSURE``), the one entry that is not an
+# answer: each fresh or extended closure replaces it, so the memo holds one
+# table whatever the run's size.  Outside a run every accessor computes afresh.
+# Keys are tagged tuples, and every answer is a pure function of its key and
+# immutable where it is shared: oracle answers are frozen with PF as a tuple (a
+# check that reports PF hands the judge its own ``list(stats.pf)``), core
+# semigroups, GAS rows and grids are immutable, and an ideal only caches what
+# it derives.  A GAS tuple's row (``_GasRow``), its question's answer, holds
+# all that its checks read: the parameters, the oracle answer (kept under its
+# own ``stats`` key too), the ``/b=…`` tag and the oracle's two extremality
+# flags.  The first instance that asks builds it inside its timed span; every
+# check still evaluates its own closed form.  A value is stored once its
 # builder returns, so an error is never stored.  The oracle answers and the
 # core objects share this dict but no code path.  The memo is module-level
 # because verify runs in one thread; a concurrent caller can lose hits, never
@@ -235,14 +237,6 @@ def _closed_stats(key: tuple[int, ...]) -> NaiveStats:
     return naive._stats_from_bits(bits, key)
 
 
-def _oracle_dup_stats(s_gens: Sequence[int], e_gens: Sequence[int], d: int) -> NaiveStats:
-    """``naive_duplication_stats(s_gens, e_gens, d)`` with PF as a tuple, once per distinct triple in a run."""
-    s_key, e_key = _canon(s_gens), _canon(e_gens)
-    return _recall(
-        ("dup", s_key, e_key, d), lambda: _frozen(naive_duplication_stats(s_key, e_key, d))
-    )
-
-
 def _semigroup(gens: Sequence[int]) -> NumericalSemigroup:
     """The core semigroup of ``gens``, built once per generator tuple in a run."""
     key = tuple(gens)
@@ -315,9 +309,10 @@ _PRESETS = {
 
 
 def _shaped_like(value, want: int | tuple) -> bool:
-    """True iff ``value`` is an int where ``want`` is one, else a sequence of ``len(want)`` ints."""
+    """True iff ``value`` is an int >= 0 where ``want`` is one, else a sequence of ``len(want)``
+    such ints: a negative count would slice from the end or make ``islice`` raise."""
     if isinstance(want, int):
-        return isinstance(value, int)
+        return isinstance(value, int) and value >= 0
     shaped = isinstance(value, Sequence) and len(value) == len(want)
     return shaped and all(map(_shaped_like, value, want))
 
@@ -533,9 +528,9 @@ def _dup_uniform_instances(grid: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Oracle questions: each asks the oracle about its instance alone, through the
-# run memo over nsg.naive and the families' generator formulas, and reaches
-# neither the core nor the constructions (``_gas`` above is the GAS question)
+# Oracle questions: each reads one generator tuple off its instance alone and
+# returns ``_oracle_stats`` of it, reaching neither the core nor the
+# constructions (``_gas`` above, the GAS question, closes its tuple with its row)
 
 
 def _family(name: str) -> Callable[[dict], NaiveStats]:
@@ -558,17 +553,19 @@ def _nice(inst: dict) -> NaiveStats:
 
 
 def _dup(e: str, inst: dict) -> NaiveStats:
-    """The duplication of S = <gens> by d, with E the instance's ideal (``e`` "ideal"), S
-    ("S") or S* ("S*"), which the instance's gens generate: G + S = S* for any generating
-    set G of S."""
-    gens = inst["gens"]
+    """The duplication D = 2S u (2E + d) of S = <gens> by d, with E the instance's ideal (``e``
+    "ideal"), S ("S") or S* ("S*"), which the instance's gens generate: G + S = S* for any
+    generating set G of S.  D = <2g, 2e + d : g in gens, e in E's generators>, the lemma
+    ``nsg.naive`` proves beside its duplication reference."""
+    gens, d = inst["gens"], inst["d"]
     e_gens = inst["ideal"] if e == "ideal" else [0] if e == "S" else gens
-    return _oracle_dup_stats(gens, e_gens, inst["d"])
+    return _oracle_stats([2 * g for g in gens] + [2 * x + d for x in e_gens])
 
 
 def _dup_uniform(inst: dict) -> NaiveStats:
-    """The duplication of the uniform-type semigroup at r by d, with E = S."""
-    return _oracle_dup_stats(fam.FAMILIES["uniform-type"].generators(inst["r"]), [0], inst["d"])
+    """The duplication of the uniform-type semigroup at r by d, with E = S: <2g, d>."""
+    gens = fam.FAMILIES["uniform-type"].generators(inst["r"])
+    return _oracle_stats([2 * g for g in gens] + [inst["d"]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import gc
 import gzip
@@ -273,6 +274,13 @@ def test_verify_unknown_claim():
     code, _, err = run_cli("verify", "thm-9.9")
     assert code == 1
     assert "UnknownClaimError" in err
+
+
+def test_verify_negative_count_is_refused():
+    # a negative count is no grid: refused with its key named, not run as an empty one
+    code, out, err = run_cli("verify", "thm-3.8", "--h-max", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidParamError: grid key 'h_max': -1 is not shaped like 6\n"
 
 
 def test_verify_unknown_claim_leaves_out_file_alone(tmp_path):
@@ -718,15 +726,27 @@ def test_family_and_sweep_output_is_pinned(tmp_path):
             assert path.read_text() == out
 
 
-def _readme_cli_lines() -> list[list[str]]:
-    """The argv of every ``nsg ...`` line in README's ``sh`` blocks, trailing comments dropped."""
-    lines, in_sh = [], False
+def _readme_blocks(lang: str) -> list[list[str]]:
+    """The lines of each of README's fenced blocks tagged ``lang``, in order."""
+    blocks, block = [], None
     for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
         if line.startswith("```"):
-            in_sh = line == "```sh"
-        elif in_sh and line.startswith("nsg "):
-            lines.append(shlex.split(line, comments=True)[1:])
-    return lines
+            block = [] if block is None and line == f"```{lang}" else None
+            if block is not None:
+                blocks.append(block)
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The argv of every ``nsg ...`` line in README's ``sh`` blocks, trailing comments dropped."""
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in _readme_blocks("sh")
+        for line in block
+        if line.startswith("nsg ")
+    ]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
@@ -739,6 +759,25 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         if "--out" in argv:
             out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
         assert out, argv
+
+
+def test_readme_python_examples_run():
+    # the quick-start blocks run in order in one namespace; a statement whose
+    # trailing comment is a Python literal must evaluate to it
+    namespace, checked = {}, 0
+    for block in _readme_blocks("python"):
+        source = "\n".join(block)
+        for stmt in ast.parse(source).body:
+            comment = block[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
+            try:
+                want = ast.literal_eval(comment.removeprefix("#").strip())
+            except (SyntaxError, ValueError):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == want, ast.get_source_segment(source, stmt)
+            checked += 1
+    assert checked >= 2
 
 
 def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:

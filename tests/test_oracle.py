@@ -266,31 +266,43 @@ def _dup_generators(s_gens, e_gens, d) -> tuple[int, ...]:
 
 
 def test_one_closure_per_distinct_semigroup(monkeypatch):
-    # verify asks the definitional engine once per distinct semigroup and
-    # once per distinct duplication; each answer costs exactly one closure,
-    # fresh or extended from the run's last one, and the GAS tuples with
-    # p >= 3 are exactly the extended ones
-    stats_keys, dup_keys = [], []
-    stats, dup_stats = oracle._closed_stats, oracle.naive_duplication_stats
+    # verify asks the definitional engine once per distinct generator tuple, a
+    # duplication's own generators included; each answer costs exactly one
+    # closure, fresh or extended from the run's last one, and the GAS tuples
+    # with p >= 3 are exactly the extended ones
+    stats_keys = []
+    stats = oracle._closed_stats
     fresh, extended = _count_closures(monkeypatch)
 
     def counting_stats(key):
         stats_keys.append(key)
         return stats(key)
 
-    def counting_dup_stats(s_gens, e_gens, d):
-        dup_keys.append((tuple(sorted(set(s_gens))), tuple(sorted(set(e_gens))), d))
-        return dup_stats(s_gens, e_gens, d)
-
     monkeypatch.setattr(oracle, "_closed_stats", counting_stats)
-    monkeypatch.setattr(oracle, "naive_duplication_stats", counting_dup_stats)
     reports = verify_claim("all", {"preset": "smoke"})
     assert len(set(stats_keys)) == len(stats_keys) > 0
-    assert len(set(dup_keys)) == len(dup_keys) > 0
-    assert len(reports) > len(stats_keys) + len(dup_keys)
-    assert len(fresh) + len(extended) == len(stats_keys) + len(dup_keys)
-    dup_gens = [_dup_generators(*key) for key in dup_keys]
-    assert sorted(fresh + extended) == sorted(stats_keys + dup_gens)
+    assert len(reports) > len(stats_keys)
+    assert len(fresh) + len(extended) == len(stats_keys)
+    assert sorted(fresh + extended) == sorted(stats_keys)
+    # every duplication instance's D is closed under its canonical generators,
+    # among the keys above, so once, however many claims ask it
+    smoke = {"preset": "smoke"}
+    e_gens = {
+        "thm-5.2": lambda inst: inst["ideal"],
+        "prop-5.7": lambda inst: [0],
+        "prop-5.9": lambda inst: inst["gens"],
+    }
+    dup_gens = [
+        _dup_generators(inst["gens"], e(inst), inst["d"])
+        for claim, e in e_gens.items()
+        for inst in oracle.claim_instances(claim, smoke)
+    ]
+    dup_gens += [
+        _dup_generators(fam.FAMILIES["uniform-type"].generators(inst["r"]), [0], inst["d"])
+        for inst in oracle.claim_instances("remark-5.8", smoke)
+    ]
+    assert len(dup_gens) > len(set(dup_gens)) > 0
+    assert set(dup_gens) <= set(stats_keys)
     assert extended == _gas_gens_past_p2(oracle._PRESETS["smoke"]["gas"]) != []
     # the memo ends with its run: a second run builds exactly the same closures again
     first = (list(fresh), list(extended))
@@ -372,14 +384,12 @@ def test_memo_hands_out_fresh_pf_lists():
             rep.oracle[0].append(-7)
         assert [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})] == first
     # a cached answer cannot be changed: it is frozen and its PF is a tuple
+    dup = oracle._CLAIMS["thm-5.2"].ask
+    ideal = {"gens": [3, 4, 5], "ideal": [5, 6, 7], "d": 11}
     with oracle.verify_run():
         for stats, again, pf in (
             (oracle._oracle_stats([3, 4, 5]), oracle._oracle_stats([5, 4, 3]), naive_pf([3, 4, 5])),
-            (
-                oracle._oracle_dup_stats([3, 4, 5], [5, 6, 7], 11),
-                oracle._oracle_dup_stats([3, 4, 5], [7, 6, 5], 11),
-                [2, 4, 15, 17, 19],
-            ),
+            (dup(ideal), dup({**ideal, "ideal": [7, 6, 5]}), [2, 4, 15, 17, 19]),
         ):
             assert again is stats
             assert isinstance(stats.pf, tuple)
@@ -454,7 +464,7 @@ def test_memo_does_not_cache_errors(monkeypatch):
             with pytest.raises(GridTooLargeError):
                 oracle._oracle_stats([12, 13])
             with pytest.raises(GridTooLargeError):
-                oracle._oracle_dup_stats([2, 3], [0], 1001)
+                oracle._CLAIMS["prop-5.7"].ask({"gens": [2, 3], "d": 1001})
             with pytest.raises(GridTooLargeError):
                 oracle._gas({"n0": 20, "s": 1, "d": 1, "p": 2})
             with pytest.raises(GridTooLargeError):
@@ -640,12 +650,17 @@ def test_unknown_grid_key_is_refused():
 
 
 def test_misshapen_grid_value_is_refused(monkeypatch):
-    # each ended in a bare ValueError or TypeError before the grid was checked
+    # each ended in a bare ValueError or TypeError before the grid was checked, or
+    # (a negative glue_pool, sliced from the end) ran a grid nobody asked for
     for claim_id, grid in (
         ("thm-3.1", {"gas": (16, 3)}),
         ("prop-3.5", {"backelin": (5,)}),
         ("thm-3.8", {"h_max": "3"}),
         ("cor-4.2", {"glue_pool": 2.5}),
+        ("thm-5.2", {"dup_d": -1}),
+        ("cor-4.2", {"glue_per": -1}),
+        ("cor-4.6", {"glue_per": -1}),
+        ("cor-4.2", {"glue_pool": -1}),
     ):
         (key,) = grid
         with pytest.raises(InvalidParamError, match=f"'{key}'"):
@@ -748,13 +763,15 @@ def test_gluing_grids_are_capped_by_the_gluing_frobenius(monkeypatch):
 def test_full_grid_matches_golden_jsonl(monkeypatch):
     # the same run pins what it keeps and what it recomputes: one memo row per
     # GAS tuple, whose answer is the run's own entry for its generators, which
-    # are looked up as given (no _canon), and one closed-form PF per
-    # duplication spec, which thm-5.2's PF and type share
+    # are looked up as given (no _canon), one closed-form PF per duplication
+    # spec, which thm-5.2's PF and type share, and one closure per distinct
+    # generator tuple, a duplication's included
     with gzip.open(FULL_JSONL, "rt") as fh:
         golden = fh.read().splitlines()
     assert len(golden) == 12192
     canon = _counted(monkeypatch, oracle, "_canon")
     dup_pf = _counted(monkeypatch, cons, "_duplication_pf")
+    fresh, extended = _count_closures(monkeypatch)
     # verify_run pauses the collector because a run makes no reference cycles:
     # with it off, a collection after the run finds nothing unreachable
     gc.collect()
@@ -770,14 +787,27 @@ def test_full_grid_matches_golden_jsonl(monkeypatch):
         if was:
             gc.enable()
     assert tags == {
-        "stats": 2450, "dup": 186, "gas": 2187, "ideal": 26, "semigroup": 9,
-        "gas grid": 1, "last closure": 1,
+        "stats": 2586, "gas": 2187, "ideal": 26, "semigroup": 9, "gas grid": 1, "last closure": 1,
     }
+    assert (len(fresh), len(extended)) == (846, 1740)
+    assert extended == _gas_gens_past_p2(oracle._PRESETS["full"]["gas"])
     for key, row in rows:
         assert type(row) is oracle._GasRow and row.params == key[1:]
         assert row.stats is memo["stats", fam.gas_generators(*row.params)]
-    assert len(canon) == 1692
+    assert len(canon) == 1257
     assert len(dup_pf) == 208
+    # the core meets the oracle on every distinct semigroup the run closed
+    answers = {key[1]: stats for key, stats in memo.items() if key[0] == "stats"}
+    three = 0
+    for gens, stats in answers.items():
+        s = NumericalSemigroup(gens)
+        profile = s.pf_profile()
+        assert s.frobenius == stats.frobenius, gens
+        assert s.pf_set() == list(stats.pf), gens
+        assert profile.reduced_type == stats.reduced_type, gens
+        assert profile.extremality.value == stats.extremality_label, gens
+        three += len(s.minimal_generators) == 3
+    assert (len(answers), three) == (2586, 490)
 
 
 def _counted(monkeypatch, owner, name: str) -> list:
@@ -1080,7 +1110,7 @@ def test_every_question_reads_its_instance_alone(monkeypatch):
                 monkeypatch.setattr(cons, name, refuse)
         answers = [row.ask(inst) for row, inst in plan]
         monkeypatch.undo()
-        for name in ("_oracle_stats", "_oracle_dup_stats", "_gas"):
+        for name in ("_oracle_stats", "_canonical_stats", "_gas"):
             monkeypatch.setattr(oracle, name, refuse)
         for owner in (naive, oracle):
             for name, value in vars(owner).items():
