@@ -20,6 +20,7 @@ from .core import (
     NumericalSemigroup,
     TABLE_LIMIT,
     TableLimitError,
+    ZeroGeneratorError,
     _maximal_classes,
     naturals,
 )
@@ -186,9 +187,13 @@ def max_coeff_representation(gens: Sequence[int], target: int) -> list[int] | No
     run to the whole target keeps n1 at every cell past B, so the
     coefficients are exactly that DP's; in any order the sum is the largest.
     A DP of more than ``TABLE_LIMIT`` cells (t' >= TABLE_LIMIT) is refused
-    before it is allocated.
+    before it is allocated, and so are empty gens or a generator below 1.
     """
+    if not gens:
+        raise EmptyGeneratorsError("generator list is empty")
     n1 = min(gens)
+    if n1 < 1:
+        raise ZeroGeneratorError(f"generators must be >= 1, got {n1}")
     q = max(0, -((target - (n1 - 1) * (sum(gens) - n1)) // -n1))
     target -= q * n1
     if target < 0:

@@ -3,22 +3,22 @@
 Nothing here touches the Apery-set machinery.  A membership table is one
 Python int, bit x set iff x is in S, and every step is a whole-int shift or
 mask, with no Python loop per cell.  One closing loop ORs each generator's
-shifts into a masked window.  A fresh closure runs it on windows that double
-until the highest gap F has F + m inside them; a closure of S plus one
-generator above all of S's runs it once more on S's closure, whose window
-already holds the new F + m.  One scan of the window finds the multiplicity,
-F, the pseudo-Frobenius numbers and the reduced type.  PF is tested against
-the generators the closure was built from: f is in PF(S) iff f is a gap and
-f + g is in S for every generator g, since every s in S* is g + t with g a
-generator and t in S, so f + s = (f + g) + t.  A duplication 2*S u (2*E + d)
-is the closure of its own generators, 2g for each generator g of S and 2e + d
-for each generator e of E, through the same closure, cap and scan: the verify
-harness closes those generators itself, like any other semigroup's, and
-``naive_duplication_stats`` is the reference the tests compare against.
-``naive_closure`` is a list view of the closure, which the slow all-members
-PF reference reads.  This module is the independent side of the verify
-harness (``nsg.oracle``): it imports the standard library and, from the
-core, the error classes only.
+shifts into a masked window, and every closure ends at F + m.  A fresh one
+runs the loop on windows that double until the highest gap F has F + m inside
+them, up to one cap; a closure of S plus one generator above all of S's runs
+it once more on S's closure, whose window already holds the new F + m.  One
+scan of the window finds the multiplicity, F, the pseudo-Frobenius numbers
+(a tuple) and the reduced type.  PF is tested against the generators the
+closure was built from: f is in PF(S) iff f is a gap and f + g is in S for
+every generator g, since every s in S* is g + t with g a generator and t in
+S, so f + s = (f + g) + t.  A duplication 2*S u (2*E + d) is the closure of
+its own generators, 2g for each generator g of S and 2e + d for each
+generator e of E: the verify harness closes them itself, like any other
+semigroup's, and ``naive_duplication_stats`` is the tests' reference.
+``naive_closure`` (the window) and ``naive_pf`` are list views; the slow
+all-members PF reference reads the first.  This module is the independent
+side of the verify harness (``nsg.oracle``): it imports the standard library
+and, from the core, the error classes only.
 """
 
 from __future__ import annotations
@@ -75,34 +75,26 @@ def _cut(bits: int, top: int, m: int) -> int | None:
     return bits & ((2 << max(frob + m, 1)) - 1)
 
 
-def _closure_bits(gens: Sequence[int], bound: int | None = None) -> int:
+def _closure_bits(gens: Sequence[int]) -> int:
     """S as one int: bit x is set iff x is a nonnegative combination of gens.
 
-    With ``bound`` the window is [0, bound].  Without one the window doubles
-    until its highest gap F has F + m inside it, and the result is cut to
-    [0, F + m] ([0, 1] for N).  A window that would pass ``FROBENIUS_CAP + m``
-    cells raises GridTooLargeError instead.
+    The window doubles until its highest gap F has F + m inside it, and the
+    result is cut to [0, F + m] ([0, 1] for N).  A window that would pass
+    ``FROBENIUS_CAP + m`` cells raises GridTooLargeError instead.
     """
     gs = _validate(gens)
     m = gs[0]
     limit = FROBENIUS_CAP + m
-    # an unbounded closure reaches the first generator that brings the gcd to
-    # 1 (it is at most F + m), so a huge one is refused before any work
-    reach = bound if bound is not None else next(
-        g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1
-    )
-    if reach > limit:
-        raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
-    if bound is not None:
-        return _close(1, gs, max(bound, 0))
+    # F + m >= reach: first the generator that brings the gcd to 1 (so a huge
+    # one is refused before any work), then one past each too-short window
+    reach = next(g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1)
     top = min(2 * reach, limit)
-    while True:
+    while reach <= limit:
         bits = _cut(_close(1, gs, top), top, m)
         if bits is not None:
             return bits
-        if top == limit:
-            raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
-        top = min(2 * top, limit)
+        reach, top = top + 1, min(2 * top, limit)
+    raise GridTooLargeError(f"closure of {gs} needs more than {limit} cells")
 
 
 def _extend_closure(kept: int, gens: Sequence[int]) -> int:
@@ -120,26 +112,24 @@ def _extend_closure(kept: int, gens: Sequence[int]) -> int:
     return _cut(_close(kept, gens[-1:], top), top, gens[0])
 
 
-def naive_closure(gens: Sequence[int], bound: int | None = None) -> list[bool]:
+def naive_closure(gens: Sequence[int]) -> list[bool]:
     """table[x] iff x is a nonnegative combination of gens: a list view of the closure.
 
-    With ``bound`` the table covers [0, bound].  Without one it ends at F + m
-    (at 1 for N).  A table that would pass ``FROBENIUS_CAP + m`` cells raises
-    GridTooLargeError instead.
+    The table ends at F + m (at 1 for N), so its last cell is a member.  A
+    table that would pass ``FROBENIUS_CAP + m`` cells raises GridTooLargeError
+    instead.
     """
-    bits = _closure_bits(gens, bound)
-    cells = bits.bit_length() if bound is None else max(bound, 0) + 1
-    return list(map("1".__eq__, bin(bits)[:1:-1].ljust(cells, "0")))
+    return list(map("1".__eq__, bin(_closure_bits(gens))[:1:-1]))
 
 
 class NaiveStats(NamedTuple):
     """Definitional F, PF and reduced type, read off one membership window.
 
-    ``pf`` is a list in what the ``naive_*`` calls return and a tuple in the
-    verify memo's answers, which are therefore immutable.
+    ``pf`` is a tuple on every path, so an answer is immutable and the verify
+    memo hands out the one the engine returned.
     """
 
-    pf: Sequence[int]
+    pf: tuple[int, ...]
     reduced_type: int
     frobenius: int
 
@@ -179,7 +169,7 @@ def _stats_from_bits(bits: int, gens: Sequence[int]) -> NaiveStats:
     gaps = bits ^ ((1 << n) - 1)
     frob = gaps.bit_length() - 1
     if frob < 0:
-        return NaiveStats(pf=[-1], reduced_type=1, frobenius=-1)
+        return NaiveStats(pf=(-1,), reduced_type=1, frobenius=-1)
     star = bits ^ 1
     m = (star & -star).bit_length() - 1
     if frob + m >= n:
@@ -194,7 +184,7 @@ def _stats_from_bits(bits: int, gens: Sequence[int]) -> NaiveStats:
         pf.append(low.bit_length() - 1)
         cand ^= low
     reduced = (gaps >> (frob - m + 1)).bit_count()
-    return NaiveStats(pf=pf, reduced_type=reduced, frobenius=frob)
+    return NaiveStats(pf=tuple(pf), reduced_type=reduced, frobenius=frob)
 
 
 def naive_stats(gens: Sequence[int]) -> NaiveStats:
@@ -209,7 +199,7 @@ def naive_frobenius(gens: Sequence[int]) -> int:
 
 def naive_pf(gens: Sequence[int]) -> list[int]:
     """PF by definition: non-members f in [-1, F] with f + g a member for every generator g."""
-    return naive_stats(gens).pf
+    return list(naive_stats(gens).pf)
 
 
 def naive_reduced_type(gens: Sequence[int]) -> int:

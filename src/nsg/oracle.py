@@ -27,8 +27,8 @@ once, described with it below: oracle answers, one row per GAS tuple, the
 closed forms' core objects and the last closure, which the next GAS tuple
 extends.  The outermost run pauses the cyclic garbage collector and puts it
 back as it found it.  Outside a run the questions and checks compute afresh,
-and direct ``naive_*`` calls are never cached and return PF lists.  Each
-report is one JSON line, written by one encoder built per process.
+and direct ``naive_*`` calls are never cached.  Each report is one JSON line,
+written by one encoder built per process.
 """
 
 from __future__ import annotations
@@ -144,20 +144,21 @@ class VerificationReport:
 # answer: each fresh or extended closure replaces it, so the memo holds one
 # table whatever the run's size.  Outside a run every accessor computes afresh.
 # Keys are tagged tuples, and every answer is a pure function of its key and
-# immutable where it is shared: oracle answers are frozen with PF as a tuple (a
-# check that reports PF hands the judge its own ``list(stats.pf)``), core
-# semigroups, GAS rows and grids are immutable, and an ideal only caches what
-# it derives.  A GAS tuple's row (``_GasRow``), its question's answer, holds
-# all that its checks read: the parameters, the oracle answer (kept under its
-# own ``stats`` key too), the ``/b=…`` tag and the oracle's two extremality
-# flags.  The first instance that asks builds it inside its timed span; every
-# check still evaluates its own closed form.  A value is stored once its
-# builder returns, so an error is never stored.  The oracle answers and the
-# core objects share this dict but no code path.  The memo is module-level
-# because verify runs in one thread; a concurrent caller can lose hits, never
-# get a wrong answer: the last closure is read and written as one (key, bits)
-# pair.  The outermost run pauses the cyclic collector (``verify_run``): one
-# gen-1 pass (about 0.4 ms) costs a hundred median instances.
+# immutable where it is shared: an oracle answer is stored as the engine returns
+# it, PF a tuple (a check that reports PF hands the judge its own
+# ``list(stats.pf)``), core semigroups, GAS rows and grids are immutable, and an
+# ideal only caches what it derives.  A GAS tuple's row (``_GasRow``), its
+# question's answer, holds all that its checks read: the parameters, the oracle
+# answer (kept under its own ``stats`` key too), the ``/b=…`` tag and the
+# oracle's two extremality flags.  The first instance that asks builds it inside
+# its timed span; every check still evaluates its own closed form.  A value is
+# stored once its builder returns, so an error is never stored.  The oracle
+# answers and the core objects share this dict but no code path.  The memo is
+# module-level because verify runs in one thread; a concurrent caller can lose
+# hits, never get a wrong answer: the last closure is read and written as one
+# (key, bits) pair.  The outermost run pauses the cyclic collector
+# (``verify_run``): one gen-1 pass (about 0.4 ms) costs a hundred median
+# instances.
 
 _run_memo: dict | None = None
 
@@ -202,18 +203,14 @@ def _canon(gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(gens)))
 
 
-def _frozen(stats: NaiveStats) -> NaiveStats:
-    return NaiveStats(tuple(stats.pf), stats.reduced_type, stats.frobenius)
-
-
 def _oracle_stats(gens: Sequence[int]) -> NaiveStats:
-    """``naive_stats(gens)`` with PF as a tuple, once per distinct generator set in a run."""
+    """``naive_stats(gens)``, once per distinct generator set in a run."""
     return _canonical_stats(_canon(gens))
 
 
 def _canonical_stats(key: tuple[int, ...]) -> NaiveStats:
     """``_oracle_stats`` of generators already ascending and without repeats."""
-    return _recall(("stats", key), lambda: _frozen(_closed_stats(key)))
+    return _recall(("stats", key), lambda: _closed_stats(key))
 
 
 # The memo's one slot that is not an answer: (canonical generators, closure bits)

@@ -210,9 +210,9 @@ def test_dup_proper_ideals_of_n_match_the_oracle():
         assert rec["ideal_kind"] == "proper"
         naive = naive_duplication_stats([1], ideal, d)
         assert (rec["pf"], rec["type"], rec["frobenius"]) == (
-            naive.pf, naive.cm_type, naive.frobenius
+            list(naive.pf), naive.cm_type, naive.frobenius
         ), ideal
-        assert rec["pf_closed_form"] == naive.pf, ideal
+        assert rec["pf_closed_form"] == list(naive.pf), ideal
 
 
 def test_large_proper_ideal_dup_builds_only_s_and_the_duplication(monkeypatch):

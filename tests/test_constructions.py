@@ -14,6 +14,7 @@ from nsg.core import (
     GcdNotOneError,
     NumericalSemigroup,
     TableLimitError,
+    ZeroGeneratorError,
     naturals,
 )
 from nsg.constructions import (
@@ -191,6 +192,23 @@ def test_max_coeff_representation_past_the_table_limit_is_refused(monkeypatch):
     assert cons.max_coeff_sum((5, 6, 7), 10**12 + 1) > 0  # reduced to 51
     with pytest.raises(TableLimitError, match="53 cells exceeds 52"):
         cons.max_coeff_representation((5, 6, 7), 52)
+
+
+def test_max_coeff_representation_refuses_malformed_generators():
+    # refused by name before any arithmetic, where they used to end in a bare
+    # ValueError, ZeroDivisionError or IndexError
+    for gens, target, error in (
+        ([], 5, EmptyGeneratorsError),
+        ([0, 3], 5, ZeroGeneratorError),
+        ([-3, 5], 4, ZeroGeneratorError),
+    ):
+        for call in (cons.max_coeff_representation, cons.max_coeff_sum):
+            with pytest.raises(error):
+                call(gens, target)
+    # a gcd other than 1 keeps its answers
+    assert cons.max_coeff_representation([6, 10], 7) is None
+    assert cons.max_coeff_sum([6, 10], 7) == -1
+    assert cons.max_coeff_representation([6, 10], 16) == [1, 1]
 
 
 def test_nice_extension_p_too_large():
@@ -507,4 +525,4 @@ def test_proper_ideal_duplication_over_a_bit_route_ambient():
         e = SemigroupIdeal(s, ideal)
         assert e.kind is IdealKind.PROPER
         spec = DuplicationSpec(s, e, d)
-        assert cons.duplication_pf(spec) == naive_duplication_stats([9, 10, 11, 12], ideal, d).pf
+        assert cons.duplication_pf(spec) == list(naive_duplication_stats([9, 10, 11, 12], ideal, d).pf)

@@ -320,7 +320,7 @@ def test_core_matches_oracle_on_generators_below_twice_the_multiplicity():
             prof = s.pf_profile()
             naive = naive_stats(gens)
             assert s.frobenius == naive.frobenius, gens
-            assert list(prof.pf) == naive.pf, gens
+            assert prof.pf == naive.pf, gens
             assert prof.reduced_type == naive.reduced_type, gens
             assert prof.extremality.value == naive.extremality_label, gens
 

@@ -49,15 +49,21 @@ FULL_JSONL = SMOKE_JSONL.with_name("verify-full.jsonl.gz")
 
 
 def test_naive_closure():
-    table = naive_closure([3, 4, 5], 10)
+    # the table ends at F + m with a member, and every x past it is a member
+    def members(gens, top):
+        table = naive_closure(gens)
+        assert table[-1], gens
+        return [x >= len(table) or table[x] for x in range(top + 1)]
+
+    table = members([3, 4, 5], 10)
     assert [x for x in range(11) if not table[x]] == [1, 2]
-    table = naive_closure([12, 15, 20, 23], 50)
+    table = members([12, 15, 20, 23], 50)
     assert not table[49]
     assert table[12] and table[27] and table[35]
-    assert all(naive_closure([1], 5))
+    assert all(members([1], 5))
     with pytest.raises(GcdNotOneError):
-        naive_closure([4, 6], 10)
-    # unbounded: the table stops at the first run of m members, at F + m
+        naive_closure([4, 6])
+    # the table stops at the first run of m members, at F + m
     assert naive_closure([3, 4, 5]) == [True, False, False, True, True, True]
     assert len(naive_closure([12, 15, 20, 23])) == 49 + 12 + 1
     assert naive_closure([1]) == [True, True]
@@ -80,7 +86,7 @@ def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
     with pytest.raises(GridTooLargeError):
         naive_frobenius([12, 13])  # F + m = 143 cells
     with pytest.raises(GridTooLargeError):
-        naive_closure([2, 3], 200)
+        naive_closure([12, 13])  # and so is its list view
     # and so is a duplication table past it, though the closure of S is small
     assert naive_duplication_stats([2, 3], [0], 41).frobenius == 43
     with pytest.raises(GridTooLargeError):
@@ -96,7 +102,7 @@ def test_large_closure_is_cheap():
     finally:
         tracemalloc.stop()
     assert stats.frobenius == 3_023_999
-    assert stats.pf == [3_023_999]
+    assert stats.pf == (3_023_999,)
     assert stats.reduced_type == 1
     assert peak < 8 * 2**20
 
@@ -169,7 +175,7 @@ def test_generator_shortcut_equals_full_check():
         # the scan quantifies over the canonical generators, whatever order or repeats it is given
         messy = gens[::-1] + gens[:1]
         assert naive_stats(messy) == naive_stats(gens), gens
-        assert naive_stats(messy).pf == naive._pf_over_all_members(naive_closure(gens)), gens
+        assert list(naive_stats(messy).pf) == naive._pf_over_all_members(naive_closure(gens)), gens
         done += 1
     # N and sets holding 1; one large generator, needed or redundant; F + m
     # on a doubled window ([5, 7]: 28) and one cell past one ([4, 9, 10]: 19)
@@ -180,7 +186,8 @@ def test_generator_shortcut_equals_full_check():
     # here from a closure of S and read off by definition: the reference for the
     # closure of D's generators that the engine runs
     def check_dup(gens, e_gens, d, top):
-        in_s = naive_closure(gens, top)
+        table = naive_closure(gens)  # past F + m every x is a member
+        in_s = [x >= len(table) or table[x] for x in range(top + 1)]
         in_e = [any(g <= x and in_s[x - g] for g in e_gens) for x in range(top + 1)]
         dup = [
             x % 2 == 0 and in_s[x // 2] or x >= d and (x - d) % 2 == 0 and in_e[(x - d) // 2]
@@ -190,7 +197,7 @@ def test_generator_shortcut_equals_full_check():
         m = dup.index(True, 1)
         reduced = sum(x < 0 or not dup[x] for x in range(frob - m + 1, frob + 1))
         naive_dup = naive_duplication_stats(gens, e_gens, d)
-        assert naive_dup.pf == naive._pf_over_all_members(dup), (gens, e_gens, d)
+        assert list(naive_dup.pf) == naive._pf_over_all_members(dup), (gens, e_gens, d)
         assert (naive_dup.frobenius, naive_dup.reduced_type) == (frob, reduced), (gens, e_gens, d)
         messy = naive_duplication_stats(gens[::-1] + gens, e_gens[::-1] + e_gens, d)
         assert messy == naive_dup, (gens, e_gens, d)
@@ -220,9 +227,9 @@ def test_one_closure_per_call(monkeypatch):
     calls = []
     closure = naive._closure_bits
 
-    def counting(gens, *args):
+    def counting(gens):
         calls.append(tuple(gens))
-        return closure(gens, *args)
+        return closure(gens)
 
     monkeypatch.setattr(naive, "_closure_bits", counting)
     naive_stats([12, 15, 20, 23])
@@ -238,9 +245,9 @@ def _count_closures(monkeypatch) -> tuple[list, list]:
     fresh, extended = [], []
     closure, extend = naive._closure_bits, naive._extend_closure
 
-    def counting_closure(gens, *args):
+    def counting_closure(gens):
         fresh.append(tuple(sorted(set(gens))))
-        return closure(gens, *args)
+        return closure(gens)
 
     def counting_extend(kept, gens):
         extended.append(tuple(gens))
@@ -383,7 +390,7 @@ def test_memo_hands_out_fresh_pf_lists():
         for rep in verify_claim(claim, {"preset": "smoke"}):
             rep.oracle[0].append(-7)
         assert [r.json_line() for r in verify_claim(claim, {"preset": "smoke"})] == first
-    # a cached answer cannot be changed: it is frozen and its PF is a tuple
+    # a cached answer cannot be changed: it is a named tuple and its PF a tuple
     dup = oracle._CLAIMS["thm-5.2"].ask
     ideal = {"gens": [3, 4, 5], "ideal": [5, 6, 7], "d": 11}
     with oracle.verify_run():
@@ -398,6 +405,32 @@ def test_memo_hands_out_fresh_pf_lists():
             with pytest.raises(AttributeError):
                 stats.pf = []
             assert list(stats.pf) == list(again.pf) == pf
+
+
+def test_every_answer_has_pf_as_a_tuple(monkeypatch):
+    # one shape on every path: direct calls and answers outside a run alike;
+    # naive_pf alone is a list view
+    dup = naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
+    for stats in (naive_stats([3, 4, 5]), naive_stats([1]), dup, oracle._oracle_stats([3, 4, 5])):
+        assert type(stats.pf) is tuple, stats
+    pf = naive_pf([3, 4, 5])
+    assert type(pf) is list and pf == [1, 2]
+    # inside a run the memo stores the very answer the engine returned, no copy
+    returned = []
+    closed = oracle._closed_stats
+
+    def keeping(key):
+        returned.append(closed(key))
+        return returned[-1]
+
+    monkeypatch.setattr(oracle, "_closed_stats", keeping)
+    with oracle.verify_run() as memo:
+        assert oracle._oracle_stats([5, 4, 3]) is returned[0]
+        assert memo["stats", (3, 4, 5)] is returned[0]
+        verify_claim("all", {"preset": "smoke"})
+        stored = [value for key, value in memo.items() if key[0] == "stats"]
+    assert len(stored) == len(returned) > 1
+    assert {id(value) for value in stored} == {id(value) for value in returned}
 
 
 def test_memo_is_bounded(monkeypatch):
@@ -529,11 +562,11 @@ def test_oracle_engine_reaches_no_closed_form():
 
 def test_naive_duplication_stats():
     stats = naive_duplication_stats([3, 4, 5], [5, 6, 7], 11)
-    assert stats.pf == [2, 4, 15, 17, 19]
+    assert stats.pf == (2, 4, 15, 17, 19)
     assert stats.frobenius == 19
     assert not stats.is_maximal and not stats.is_minimal
     stats = naive_duplication_stats([5, 6, 7], [0], 7)
-    assert stats.pf == [23, 25]
+    assert stats.pf == (23, 25)
     assert stats.is_maximal
     assert stats.extremality_label == "maximal"
 
@@ -563,7 +596,7 @@ def test_self_duplication_is_the_gluing_with_n():
     for inst in oracle.claim_instances("prop-5.7", {"preset": "full"}):
         s, d = NumericalSemigroup(inst["gens"]), inst["d"]
         closed = cons.duplication_pf(cons.DuplicationSpec(s, cons.SemigroupIdeal(s, [0]), d))
-        got = naive_duplication_stats(inst["gens"], [0], d).pf
+        got = list(naive_duplication_stats(inst["gens"], [0], d).pf)
         if d in s.minimal_generators:
             with pytest.raises(cons.MuIsMinimalGeneratorError):
                 cons.GluingSpec(s, core.naturals(), 2, d)
