@@ -4,10 +4,13 @@ Nothing here touches the Apery-set machinery.  A membership table is one
 Python int, bit x set iff x is in S, and every step is a whole-int shift or
 mask, with no Python loop per cell.  One closing loop ORs each generator's
 shifts into a masked window, and every closure ends at F + m.  A fresh one
-runs the loop on windows that double until the highest gap F has F + m inside
-them, up to one cap; a closure of S plus one generator above all of S's runs
-it once more on S's closure, whose window already holds the new F + m.  One
-scan of the window finds the multiplicity, F, the pseudo-Frobenius numbers
+sizes its first window from a lower bound on F + m, a few lines of arithmetic
+on the generators (``_reach_floor``; its proofs speak of the Apery set, its
+code builds none), then runs the loop on windows that double until the highest
+gap F has F + m inside them, up to one cap; a bound past the cap refuses before
+any window is closed.  A closure of S plus one generator above all of S's runs
+the loop once more on S's closure, whose window already holds the new F + m.
+One scan of the window finds the multiplicity, F, the pseudo-Frobenius numbers
 (a tuple) and the reduced type.  PF is tested against the generators the
 closure was built from: f is in PF(S) iff f is a gap and f + g is in S for
 every generator g, since every s in S* is g + t with g a generator and t in
@@ -75,20 +78,58 @@ def _cut(bits: int, top: int, m: int) -> int | None:
     return bits & ((2 << max(frob + m, 1)) - 1)
 
 
+def _reach_floor(gs: Sequence[int]) -> int:
+    """A lower bound on F + m for the canonical generators ``gs`` (m = gs[0]), by arithmetic.
+
+    Selmer: F + m = max Ap(S, m), where Ap(S, m) holds the least member of S in
+    each class mod m.  The bound is the larger of two:
+    - interval: every generator lies in [m, m + w], w = gs[-1] - m, so S is
+      inside T = <m, m + 1, ..., m + w>.  T's members are the unions of the
+      intervals [jm, j(m + w)], which leave a gap below jm while (j - 1)w < m - 1,
+      so F(S) >= F(T) = ceil((m - 1)/w)*m - 1 (Roberts, 1956);
+    - count: each of the m elements a of Ap(S, m) is a sum of the k generators
+      other than m, since a - m is not in S.  At most C(t - 1 + k, k) distinct
+      values are sums of fewer than t of them.  With t least such that
+      C(t + k, k) >= m, C(t - 1 + k, k) < m, so some Apery element needs t
+      summands or more, each at least gs[1]; hence F + m >= t*gs[1].  For two
+      generators t = m - 1 and the bound is F + m = mg - g itself.
+    """
+    m, k = gs[0], len(gs) - 1
+    w = gs[-1] - m
+    interval = ((m - 2) // w + 2) * m - 1 if w else 0
+    lo, hi = 0, m - 1  # C(m - 1 + k, k) >= m once k >= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(mid + k, k) < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return max(interval, lo * gs[1] if lo else 0)
+
+
 def _closure_bits(gens: Sequence[int]) -> int:
     """S as one int: bit x is set iff x is a nonnegative combination of gens.
 
-    The window doubles until its highest gap F has F + m inside it, and the
-    result is cut to [0, F + m] ([0, 1] for N).  A window that would pass
-    ``FROBENIUS_CAP + m`` cells raises GridTooLargeError instead.
+    The first window is sized from two lower bounds on F + m: R, the generator
+    that brings the gcd to 1 (every smaller member is a multiple of a gcd d > 1,
+    and so is m, so R's class mod m has its Apery element at R or above), and
+    L = ``_reach_floor(gs)``.  It spans max(2R, L + L/8) cells, so where L is
+    tight, as for two generators and Backelin's semigroups, one window closes.  A
+    window whose highest gap F has F + m past it is doubled and closed again
+    from {0}; ``_cut`` alone decides that, so a bound only skips windows that
+    would fail.  The result is cut to [0, F + m] ([0, 1] for N).  A window
+    that would pass ``FROBENIUS_CAP + m`` cells raises GridTooLargeError
+    instead, and a lower bound past it refuses before any cell is built.
     """
     gs = _validate(gens)
     m = gs[0]
     limit = FROBENIUS_CAP + m
-    # F + m >= reach: first the generator that brings the gcd to 1 (so a huge
-    # one is refused before any work), then one past each too-short window
-    reach = next(g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1)
-    top = min(2 * reach, limit)
+    # F + m >= reach: first the larger of the two bounds (so a huge one is
+    # refused before any work), then one past each too-short window
+    gcd_reach = next(g for g, d in zip(gs, accumulate(gs, math.gcd)) if d == 1)
+    low = _reach_floor(gs)
+    reach = max(gcd_reach, low)
+    top = min(max(2 * gcd_reach, low + low // 8), limit)
     while reach <= limit:
         bits = _cut(_close(1, gs, top), top, m)
         if bits is not None:

@@ -142,7 +142,11 @@ class VerificationReport:
 # entry per distinct question of the run's plan, which the grid caps bound,
 # plus the last closure (``_LAST_CLOSURE``), the one entry that is not an
 # answer: each fresh or extended closure replaces it, so the memo holds one
-# table whatever the run's size.  Outside a run every accessor computes afresh.
+# table whatever the run's size.  While ``verify_claim('all')`` runs, each claim's
+# planned instances wait under ("plan", claim id) until that claim's own call
+# takes them (a plan an error leaves behind goes with the memo; only that call
+# holds its grid, which the entry must match).  Outside a run every accessor
+# computes afresh.
 # Keys are tagged tuples, and every answer is a pure function of its key and
 # immutable where it is shared: an oracle answer is stored as the engine returns
 # it, PF a tuple (a check that reports PF hands the judge its own
@@ -849,10 +853,18 @@ def verify_claim(claim_id: str, grid: dict | None = None) -> list[VerificationRe
 
     Instances are enumerated in a fixed order and checked one after another
     in the calling process, so reports come back in that order.  The call is
-    one verify run (or part of the open one): 'all' runs each claim of ``claim_grids``
-    by a call of its own, sharing one memo, and no memo is held once the call returns.
+    one verify run (or part of the open one): 'all' plans every claim of ``claim_grids``
+    first, as ``nsg verify`` does, so a cap refuses the run before any instance runs, then
+    runs each claim by a call of its own, which takes its plan from the shared memo.  No
+    memo is held once the call returns.
     """
-    with verify_run():
+    with verify_run() as memo:
         if claim_id != "all":
-            return list(run_claim(claim_id, claim_instances(claim_id, grid)))
-        return [rep for cid, own in claim_grids(claim_id, grid) for rep in verify_claim(cid, own)]
+            planned = memo.pop(("plan", claim_id), None)
+            if planned is None or planned[0] is not grid:
+                planned = grid, claim_instances(claim_id, grid)
+            return list(run_claim(claim_id, planned[1]))
+        claims = claim_grids(claim_id, grid)
+        for cid, own in claims:
+            memo["plan", cid] = own, claim_instances(cid, own)
+        return [rep for cid, own in claims for rep in verify_claim(cid, own)]

@@ -71,30 +71,46 @@ def test_naive_closure():
 
 def test_direct_call_past_frobenius_cap_is_refused(monkeypatch):
     # F = 2**41 - 1: the first generator that brings the gcd to 1 is past the
-    # cap, so the call is refused before the table grows
+    # cap, and <5000, 5001>'s lower bound on F + m (exact for two generators,
+    # 25,000,000 cells) is too, so each call is refused before any window is closed
+    closes = _counted(monkeypatch, naive, "_close")
     tracemalloc.start()
     try:
         with pytest.raises(GridTooLargeError):
             naive_pf([2, 2**41 + 1])
+        with pytest.raises(GridTooLargeError, match=r"^closure of \[5000, 5001\] needs more"):
+            naive_stats([5001, 5000])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # a table that outgrows the cap on the way is refused too
+    assert closes == []
+    # refused exactly when F + m passes FROBENIUS_CAP + m: once the lower bound
+    # does ([12, 13]), and once a window that reaches the cap is closed ([6, 26, 55])
     monkeypatch.setattr(naive, "FROBENIUS_CAP", 100)
     assert naive_frobenius([9, 10]) == 71  # F + m = 80 cells
+    assert naive_frobenius([6, 31, 53]) == 100  # F + m = 106 = FROBENIUS_CAP + m
+    assert naive._reach_floor((12, 13)) == 143 and naive._reach_floor((6, 26, 55)) == 52
+    del closes[:]
     with pytest.raises(GridTooLargeError):
         naive_frobenius([12, 13])  # F + m = 143 cells
+    assert closes == []
     with pytest.raises(GridTooLargeError):
         naive_closure([12, 13])  # and so is its list view
+    with pytest.raises(GridTooLargeError):
+        naive_frobenius([6, 26, 55])  # F = 101, F + m = 107 cells
+    assert [top for _, _, top in closes] == [106]
     # and so is a duplication table past it, though the closure of S is small
     assert naive_duplication_stats([2, 3], [0], 41).frobenius == 43
     with pytest.raises(GridTooLargeError):
         naive_duplication_stats([2, 3], [0], 1001)
 
 
-def test_large_closure_is_cheap():
-    # F = 1009 * 3001 - 1009 - 3001: a 3-million-cell window
+def test_large_closure_is_cheap(monkeypatch):
+    # F = 1009 * 3001 - 1009 - 3001: a 3-million-cell window, closed once, since
+    # the first window spans the lower bound on F + m, exact for two generators,
+    # plus an eighth
+    closes = _counted(monkeypatch, naive, "_close")
     tracemalloc.start()
     try:
         stats = naive_stats([1009, 3001])
@@ -105,6 +121,42 @@ def test_large_closure_is_cheap():
     assert stats.pf == (3_023_999,)
     assert stats.reduced_type == 1
     assert peak < 8 * 2**20
+    assert [top for _, _, top in closes] == [3_025_008 + 3_025_008 // 8]
+
+
+def test_backelin_closures_close_one_window(monkeypatch):
+    # the lower bound on F + m is a few cells short of it for Backelin's semigroups
+    closes = _counted(monkeypatch, naive, "_close")
+    tuples = [(i["n"], i["r"]) for i in oracle.claim_instances("prop-3.5", {"preset": "full"})]
+    assert len(tuples) == 28 and (2, 8) in tuples and (5, 21) in tuples
+    for n, r in tuples:
+        del closes[:]
+        gens = fam.backelin_generators(n, r)
+        assert naive_frobenius(gens) == fam.backelin_frobenius_closed(n, r)
+        assert len(closes) == 1, (n, r)
+
+
+@st.composite
+def generator_lists(draw):
+    """Generators of a numerical semigroup, in any order and with repeats: N, two
+    generators, and sets in a narrow or a wide band above the multiplicity."""
+    m = draw(st.integers(1, 60))
+    width = draw(st.sampled_from([1, 3, 12, 400]))
+    rest = draw(st.lists(st.integers(m + 1, m + width), min_size=0 if m == 1 else 1, max_size=5))
+    gens = [m, *rest, *draw(st.lists(st.sampled_from([m, *rest]), max_size=2))]
+    assume(math.gcd(*gens) == 1)
+    return draw(st.permutations(gens))
+
+
+@given(generator_lists())
+@settings(max_examples=150, deadline=None)
+def test_reach_floor_is_a_lower_bound_on_f_plus_m(gens):
+    gs = sorted(set(gens))
+    low = naive._reach_floor(gs)
+    f_plus_m = naive_stats(gens).frobenius + gs[0]
+    assert low <= f_plus_m
+    if len(gs) <= 2:  # N, and (m - 1)g for two generators
+        assert low == f_plus_m
 
 
 @st.composite
@@ -659,6 +711,29 @@ def test_all_runs_each_claim_by_its_own_call_with_its_own_reading(monkeypatch):
     assert {rep.instance.get("variant") for rep in reports} == {None, "Corrected"}
 
 
+def test_all_plans_every_claim_before_it_runs_one(monkeypatch):
+    # thm-3.8's cap refuses h=108 while the run is planned, before the 886
+    # instances of the claims ahead of it are drawn; each claim is planned once
+    drawn, planned = [], _counted(monkeypatch, oracle, "claim_instances")
+    run_claim = oracle.run_claim
+
+    def counting(claim_id, instances):
+        for inst in instances:
+            drawn.append(claim_id)
+            yield inst
+
+    monkeypatch.setattr(oracle, "run_claim", lambda claim, insts: run_claim(claim, counting(claim, insts)))
+    with pytest.raises(GridTooLargeError, match="^bresinsky h=108: "):
+        verify_claim("all", {"preset": "smoke", "h_max": 100000})
+    assert drawn == []
+    del planned[:]
+    with oracle.verify_run() as memo:
+        reports = verify_claim("all", {"preset": "smoke"})
+        assert not any(key[0] == "plan" for key in memo)
+    assert [claim_id for claim_id, _ in planned] == oracle.registered_claims()
+    assert len(drawn) == len(reports) > 886
+
+
 def test_unknown_grid_key_is_refused():
     # a misspelt key must not leave the preset's value in force unnoticed
     with pytest.raises(UnknownClaimError, match="'h_mx'"):
@@ -805,6 +880,7 @@ def test_full_grid_matches_golden_jsonl(monkeypatch):
     canon = _counted(monkeypatch, oracle, "_canon")
     dup_pf = _counted(monkeypatch, cons, "_duplication_pf")
     fresh, extended = _count_closures(monkeypatch)
+    closes = _counted(monkeypatch, naive, "_close")
     # verify_run pauses the collector because a run makes no reference cycles:
     # with it off, a collection after the run finds nothing unreachable
     gc.collect()
@@ -822,17 +898,19 @@ def test_full_grid_matches_golden_jsonl(monkeypatch):
     assert tags == {
         "stats": 2586, "gas": 2187, "ideal": 26, "semigroup": 9, "gas grid": 1, "last closure": 1,
     }
-    assert (len(fresh), len(extended)) == (846, 1740)
+    assert (len(fresh), len(extended), len(closes)) == (846, 1740, 3267)
     assert extended == _gas_gens_past_p2(oracle._PRESETS["full"]["gas"])
     for key, row in rows:
         assert type(row) is oracle._GasRow and row.params == key[1:]
         assert row.stats is memo["stats", fam.gas_generators(*row.params)]
     assert len(canon) == 1257
     assert len(dup_pf) == 208
-    # the core meets the oracle on every distinct semigroup the run closed
+    # the core meets the oracle on every distinct semigroup the run closed, and
+    # the closure's lower bound on F + m holds on each
     answers = {key[1]: stats for key, stats in memo.items() if key[0] == "stats"}
     three = 0
     for gens, stats in answers.items():
+        assert naive._reach_floor(gens) <= stats.frobenius + gens[0], gens
         s = NumericalSemigroup(gens)
         profile = s.pf_profile()
         assert s.frobenius == stats.frobenius, gens
